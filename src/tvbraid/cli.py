@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 for
-unusable input (bad syntax, unknown names), 3 when input parses but a
+unusable input (bad syntax, unknown names, a rank range no selected
+verification check supports), 3 when input parses but a
 domain precondition fails (word outside the expected subgroup, map with
 no computable kernel test).
 
@@ -123,6 +124,16 @@ def _cmd_abelianize(args):
 def _cmd_verify(args):
     checks = None if args.all else args.check
     reports = run_suite(checks=checks, n_range=args.n, seed=args.seed)
+    if not reports:
+        supported = "; ".join(
+            f"{cid} n={','.join(map(str, CHECKS[cid][1]))}" for cid in checks or CHECKS
+        )
+        print(
+            f"error: no check runs at n={','.join(map(str, args.n))}; "
+            f"supported ranks: {supported}",
+            file=sys.stderr,
+        )
+        return 2
     if args.json:
         print(
             json.dumps(

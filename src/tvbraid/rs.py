@@ -2,12 +2,15 @@
 
 Each context couples an ambient presented group with one of the named
 quotient maps and a Schreier transversal of coset representative words
-(every prefix of a representative is a representative).  Kernel words are
-rewritten letter by letter: the letter at position p, conjugated back by
-the representative of the walked prefix, classifies to a named subgroup
-generator or to nothing, and the collected atoms form the subgroup word.
-Running every ambient relator through the rewrite, conjugated by every
-representative, derives a presentation of the kernel.
+(every prefix of a representative is a representative).  Representatives
+are decoded from the quotient element, never tabulated for rewriting.
+Kernel words are rewritten letter by letter: the letter at position p,
+conjugated back by the representative of the walked prefix, classifies to
+a named subgroup generator or to nothing, and the collected atoms form the
+subgroup word.  Each (coset, letter) cell of that walk is classified once
+per context and then read back.  Running every ambient relator through the
+rewrite, conjugated by every representative, derives a presentation of the
+kernel.
 
 Context names and their kernels:
 
@@ -21,8 +24,10 @@ Context names and their kernels:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+import sys
+from dataclasses import dataclass, field
+from functools import cached_property
+from math import factorial
 
 from .conj import act_gamma_set, act_sn, canonicalize_atom
 from .homs import Homomorphism, _raw_image, make_hom
@@ -51,77 +56,102 @@ class ClassifyError(ValueError):
     """No named subgroup generator matches a rewritten column."""
 
 
-class Transversal:
-    """Coset representative words keyed by their quotient image."""
+_ELEMENT_TYPES = {
+    "perm": Permutation,
+    "bars": FlipVector,
+    "perm-bars": SignedPermutation,
+}
 
-    def __init__(self, name: str, entries):
+
+def _bars(el) -> list[int]:
+    """Bar strands of the representative of a bar vector or signed
+    permutation, ascending: a flipped point x carries its bar to p(x)."""
+    if type(el) is FlipVector:
+        return [k for k, b in enumerate(el.bits, 1) if b]
+    p = el.perm.images
+    return sorted(p[x] for x, b in enumerate(el.flips.bits) if b)
+
+
+class Transversal:
+    """Coset representative words of one finite quotient, decoded from the
+    quotient element.
+
+    ``perm``: one word per permutation p, the product, k ascending, of one
+    block per strand k >= 2, the descending chain r<k-1> ... r<j> with
+    j = p(k) once the later blocks are peeled off (empty when j = k).
+    ``bars``: the ascending bars g<k> of the flipped strands.
+    ``perm-bars``: the crossing word of the permutation part followed by
+    the ascending bars g<p(x)> of the flipped points x.
+
+    Every prefix of a representative is again one.  ``order`` and
+    ``table`` enumerate all cosets on first use, in a frozen order.
+    """
+
+    def __init__(self, name: str, n: int):
         self.name = name
-        self.table = {}
-        self.order = []
-        for el, w in entries:
-            if el in self.table:
-                raise ValueError(
-                    f"transversal collision: {format_element(el)} already taken"
-                )
-            self.table[el] = w
-            self.order.append(el)
+        self.n = n
+        self._type = _ELEMENT_TYPES[name]
+        self._alphabet = "Mixed" if name == "bars" else "Ambient"
+        self._rho = [None] + [rho(i) for i in range(1, n)]
+        self._gamma = [None] + [gamma(k) for k in range(1, n + 1)]
+
+    def _crossings(self, images) -> list[Atom]:
+        """Insertion factorisation of a permutation, strand n first."""
+        images = list(images)
+        blocks = []
+        for k in range(self.n, 1, -1):
+            j = images.pop()
+            blocks.append(self._rho[k - 1 : j - 1 : -1])
+            images = [x - (x > j) for x in images]
+        return [a for block in reversed(blocks) for a in block]
 
     def lookup(self, el) -> Word:
-        try:
-            return self.table[el]
-        except KeyError:
+        if type(el) is not self._type or el.n != self.n:
             raise ValueError(
                 f"element {format_element(el)} has no coset representative"
-            ) from None
+            )
+        if self.name == "perm":
+            return Word(self.n, self._crossings(el.images), "Ambient", check=False)
+        atoms = [] if self.name == "bars" else self._crossings(el.perm.images)
+        atoms += [self._gamma[k] for k in _bars(el)]
+        return Word(self.n, atoms, self._alphabet, check=False)
+
+    @cached_property
+    def order(self) -> list:
+        n = self.n
+        if self.name == "bars":
+            return [
+                FlipVector(tuple(mask >> k & 1 for k in range(n)), check=False)
+                for mask in range(1 << n)
+            ]
+        perms = [(1,)]
+        for k in range(2, n + 1):
+            perms = [
+                tuple(x + (x >= j) for x in p) + (j,)
+                for p in perms
+                for j in range(k, 0, -1)
+            ]
+        if self.name == "perm":
+            return [Permutation(p, check=False) for p in perms]
+        return [
+            SignedPermutation(
+                Permutation(p, check=False),
+                FlipVector(tuple(mask >> (x - 1) & 1 for x in p), check=False),
+            )
+            for p in perms
+            for mask in range(1 << n)
+        ]
+
+    @cached_property
+    def table(self) -> dict:
+        return {el: self.lookup(el) for el in self.order}
 
     def words(self):
         return [self.table[el] for el in self.order]
 
     def __len__(self) -> int:
-        return len(self.table)
-
-
-def _perm_transversal(n: int) -> Transversal:
-    """Representative words in virtual crossings, one per permutation.
-
-    The block for strand k is the descending chain r<k-1> ... r<j> (empty
-    when j = k), and a representative is the product of one block per
-    strand, k ascending.  Every prefix of such a word is again one.
-    """
-    entries = []
-    for js in product(*[range(k, 0, -1) for k in range(2, n + 1)]):
-        atoms = []
-        for k, j in zip(range(2, n + 1), js):
-            atoms.extend(rho(m) for m in range(k - 1, j - 1, -1))
-        el = Permutation.identity(n)
-        for a in atoms:
-            el = el * Permutation.transposition(n, a.i, a.i + 1)
-        entries.append((el, Word(n, atoms, "Ambient")))
-    return Transversal("perm", entries)
-
-
-def _bar_transversal(n: int) -> Transversal:
-    entries = []
-    for mask in range(1 << n):
-        ks = [k + 1 for k in range(n) if mask >> k & 1]
-        el = FlipVector(tuple(mask >> k & 1 for k in range(n)), check=False)
-        entries.append((el, Word(n, [gamma(k) for k in ks])))
-    return Transversal("bars", entries)
-
-
-def _perm_bar_transversal(n: int) -> Transversal:
-    entries = []
-    for pel, pw in _perm_transversal(n).table.items():
-        for mask in range(1 << n):
-            ks = [k + 1 for k in range(n) if mask >> k & 1]
-            el = SignedPermutation(pel, FlipVector.identity(n))
-            for k in ks:
-                el = el * SignedPermutation(
-                    Permutation.identity(n), FlipVector.unit(n, k)
-                )
-            w = Word(n, pw.atoms + tuple(gamma(k) for k in ks), "Ambient")
-            entries.append((el, w))
-    return Transversal("perm-bars", entries)
+        perms = 1 if self.name == "bars" else factorial(self.n)
+        return perms if self.name == "perm" else perms << self.n
 
 
 #: context -> (ambient family, quotient map, transversal kind,
@@ -135,12 +165,6 @@ KERNEL_TABLE = {
     "hl": ("tvhn", "psiH", "bars", "DecoratedHL", "hln"),
 }
 
-_BUILDERS = {
-    "perm": _perm_transversal,
-    "bars": _bar_transversal,
-    "perm-bars": _perm_bar_transversal,
-}
-
 
 @dataclass
 class RSContext:
@@ -151,6 +175,12 @@ class RSContext:
     transversal: Transversal
     sub_alphabet: str
     registry_family: str | None
+    #: (coset element, signed letter) -> (next element, classified atom or
+    #: None), filled the first time a walk visits the cell
+    cells: dict = field(default_factory=dict, repr=False, compare=False)
+    #: atoms -> derived relator word, so that every derivation on this
+    #: context hands out one shared Word per relator, like its shared id
+    relator_words: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def make_context(name: str, n: int) -> RSContext:
@@ -162,24 +192,10 @@ def make_context(name: str, n: int) -> RSContext:
         n,
         build_presentation(ambient_family, n),
         make_hom(hom_name, n),
-        _BUILDERS[tkind](n),
+        Transversal(tkind, n),
         alphabet,
         registry,
     )
-
-
-def _perm_part(t: Word, n: int) -> Permutation:
-    el = Permutation.identity(n)
-    for a in t.atoms:
-        if a.kind == "r":
-            el = el * Permutation.transposition(n, a.i, a.i + 1)
-        elif a.kind != "g":
-            raise ValueError(f"unexpected atom {a} in a transversal word")
-    return el
-
-
-def _bar_part(t: Word) -> list[int]:
-    return sorted(a.i for a in t.atoms if a.kind == "g")
 
 
 def representative(ctx: RSContext, w: Word) -> Word:
@@ -196,7 +212,7 @@ def schreier_generator(ctx: RSContext, t: Word, a: Atom) -> Word:
 
 def classify(ctx: RSContext, t: Word, a: Atom):
     """Subgroup generator equal to t a (rep of t a)^-1, or None when that
-    element is trivial.
+    element is trivial.  t must be a representative of the transversal.
 
     The rule conjugates the base generator for the column a by t^-1: first
     the bar toggles from the bar part of t, then the index action of the
@@ -206,11 +222,19 @@ def classify(ctx: RSContext, t: Word, a: Atom):
     """
     if a.sign != 1:
         raise ValueError("classify takes a positive atom")
+    el = _raw_image(ctx.hom, t)
+    if ctx.transversal.lookup(el) != t:
+        raise ValueError(f"{format_word(t)!r} is not a transversal word")
+    return _classify_element(ctx, el, a)
+
+
+def _classify_element(ctx: RSContext, el, a: Atom):
+    """classify for the representative of the coset element el."""
     kind = a.kind
     if ctx.name in ("tvp", "tvh"):
         if kind == "r":
             return None
-        pinv = _perm_part(t, ctx.n).inverse()
+        pinv = el.inverse()
         if kind == "g":
             return gamma(pinv(a.i))
         if kind == "s":
@@ -223,15 +247,27 @@ def classify(ctx: RSContext, t: Word, a: Atom):
         if kind == "s":
             base_kind, sign = ("l", -1) if ctx.name == "pt" else ("x", 1)
             base = Atom(base_kind, a.i, a.i + 1, (), sign)
-            toggled = act_gamma_set(_bar_part(t), base)
-            return act_sn(_perm_part(t, ctx.n).inverse(), toggled)
+            return act_sn(el.perm.inverse(), act_gamma_set(_bars(el), base))
     else:
         if kind == "g":
             return None
         expected = "l" if ctx.name == "pl" else "x"
         if kind == expected:
-            return act_gamma_set(_bar_part(t), canonicalize_atom(a))
+            return act_gamma_set(_bars(el), canonicalize_atom(a))
+    t = ctx.transversal.lookup(el)
     raise ClassifyError(f"no generator for column ({format_word(t)!r}, {a})")
+
+
+def _cell(ctx: RSContext, cur, a: Atom):
+    """Coset after the letter a from the coset cur, and the letter's
+    classified atom: a positive letter is classified at the coset before
+    it, a negative one at the coset after it, and the atom inherits the
+    letter's sign."""
+    nxt = cur * _raw_image(ctx.hom, Word(ctx.n, (a,), check=False))
+    c = _classify_element(ctx, cur if a.sign == 1 else nxt, strip_sign(a))
+    if c is not None and a.sign == -1:
+        c = c.inverse()
+    return nxt, c
 
 
 @dataclass
@@ -243,38 +279,36 @@ class RewriteResult:
 def rewrite_tau(ctx: RSContext, u: Word) -> RewriteResult:
     """Rewrite a kernel word into subgroup generators.
 
-    Walks u letter by letter, carrying the quotient image of the prefix.
-    A positive letter is classified against the representative of the
-    prefix before it, a negative letter against the representative of the
-    prefix including it, and classified atoms inherit the letter's sign.
-    The result keeps the raw atom sequence alongside the freely reduced
-    word, so squares of involution generators survive.
+    Walks u letter by letter through the context's coset cells, carrying
+    the quotient image of the prefix.  The result keeps the raw atom
+    sequence alongside the freely reduced word, so squares of involution
+    generators survive.
 
-    Raises ValueError when u is not in the kernel.
+    Raises ValueError when u is not in the kernel, that is when the walk
+    does not end at the identity.
     """
     if u.n != ctx.n:
         raise ValueError(f"rank mismatch: word has {u.n}, context has {ctx.n}")
-    img = _raw_image(ctx.hom, u)
-    if not img.is_identity():
-        raise ValueError(
-            f"word is not in the {ctx.name} kernel; quotient image "
-            f"{format_element(img)}"
-        )
+    cells = ctx.cells
     cur = ctx.hom.identity
     out: list[Atom] = []
     for a in u.atoms:
-        step = _raw_image(ctx.hom, Word(ctx.n, (a,), check=False))
-        nxt = cur * step
-        t = ctx.transversal.lookup(cur if a.sign == 1 else nxt)
-        c = classify(ctx, t, strip_sign(a))
+        cell = cells.get((cur, a))
+        if cell is None:
+            cell = cells[cur, a] = _cell(ctx, cur, a)
+        cur, c = cell
         if c is not None:
-            out.append(c if a.sign == 1 else c.inverse())
-        cur = nxt
+            out.append(c)
+    if not cur.is_identity():
+        raise ValueError(
+            f"word is not in the {ctx.name} kernel; quotient image "
+            f"{format_element(cur)}"
+        )
     raw = Word(ctx.n, out, ctx.sub_alphabet, check=False)
     return RewriteResult(free_reduce(raw), raw)
 
 
-@dataclass
+@dataclass(slots=True)
 class DerivedRelator:
     rid: str
     word: Word
@@ -295,9 +329,9 @@ def derive_relators(ctx: RSContext) -> list[DerivedRelator]:
     its ambient relator and conjugator for auditing."""
     out: list[DerivedRelator] = []
     seen = set()
+    reps = ctx.transversal.words()
     for r in ctx.ambient.relators:
-        for el in ctx.transversal.order:
-            t = ctx.transversal.table[el]
+        for t in reps:
             u = Word(
                 ctx.n,
                 t.atoms + r.word.atoms + _raw_invert_atoms(t.atoms),
@@ -310,7 +344,8 @@ def derive_relators(ctx: RSContext) -> list[DerivedRelator]:
             if key in seen:
                 continue
             seen.add(key)
-            out.append(DerivedRelator(f"d{len(out) + 1}", w, r.rid, t))
+            w = ctx.relator_words.setdefault(w.atoms, w)
+            out.append(DerivedRelator(sys.intern(f"d{len(out) + 1}"), w, r.rid, t))
     return out
 
 

@@ -91,8 +91,8 @@ def _check_extended_symmetric(n: int, seed: int):
 def _check_transversal(n: int, seed: int):
     ctx = make_context("tvp", n)
     tr = ctx.transversal
-    if len(tr) != factorial(n):
-        return False, f"transversal size {len(tr)}, expected {factorial(n)}"
+    if len(tr.table) != factorial(n):
+        return False, f"transversal size {len(tr.table)}, expected {factorial(n)}"
     for el in tr.order:
         w = tr.table[el]
         for k in range(len(w.atoms)):

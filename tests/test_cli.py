@@ -140,3 +140,28 @@ def test_rank_range_only_for_verify(capsys):
     code, out, _ = run_cli(capsys, "verify", "--check", "relators-vanish", "-n", "2..3")
     assert code == 0
     assert out.count("relators-vanish") == 2
+
+
+def test_verify_empty_selection_is_an_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "--all", "-n", "7")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: no check runs at n=7; supported ranks: ")
+    assert "transversal-classification n=2,3,4,5,6" in err
+    assert "derived-pl-table n=3" in err
+    assert err.count(" n=") == 10
+    code, out, err = run_cli(capsys, "verify", "--check", "pl-to-vp", "-n", "5..6")
+    assert code == 2
+    assert err.strip() == "error: no check runs at n=5,6; supported ranks: pl-to-vp n=3,4"
+
+
+def test_rewrite_at_rank_eight():
+    proc = subprocess.run(
+        [sys.executable, "-m", "tvbraid.cli", "rewrite", "--into", "pt", "-n", "8",
+         "s1 r1 g3 s2^-1 r2 g3"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "l1,2^-1 l2,3:2\n"

@@ -1,7 +1,10 @@
 import random
+from functools import lru_cache
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvbraid.homs import _raw_image
 from tvbraid.present import build_presentation, generator_expression
@@ -76,12 +79,14 @@ def test_frozen_rewrites():
 
 
 def test_rewrite_requires_kernel_words():
-    ctx = make_context("tvp", 3)
-    with pytest.raises(ValueError, match=r"\[2,1,3\]"):
-        rewrite_tau(ctx, parse_word("s1", 3))
-    bars = make_context("pl", 3)
-    with pytest.raises(ValueError):
-        rewrite_tau(bars, parse_word("g1", 3))
+    cases = [
+        ("tvp", "s1", r"not in the tvp kernel; quotient image \[2,1,3\]$"),
+        ("pt", "s1 g3", r"not in the pt kernel; quotient image \[2,1,3\|0,0,1\]$"),
+        ("pl", "g1 l1,2", r"not in the pl kernel; quotient image \[1,0,0\]$"),
+    ]
+    for name, text, pattern in cases:
+        with pytest.raises(ValueError, match=pattern):
+            rewrite_tau(make_context(name, 3), parse_word(text, 3))
 
 
 def test_schreier_generator_shape():
@@ -203,6 +208,13 @@ def test_derived_counts():
         assert len(derive_relators(make_context(name, n))) == count, (name, n)
 
 
+def test_repeated_derivation_shares_ids_and_words():
+    ctx = make_context("pl", 3)
+    first, again = derive_relators(ctx), derive_relators(ctx)
+    assert [d.line() for d in first] == [d.line() for d in again]
+    assert all(a.rid is b.rid and a.word is b.word for a, b in zip(first, again))
+
+
 def test_derived_matches_registry():
     for name in ("tvp", "tvh", "pl", "hl"):
         ctx = make_context(name, 3)
@@ -237,3 +249,139 @@ def test_kernel_table_contexts():
         assert ctx.name == name
     with pytest.raises(ValueError):
         make_context("xx", 3)
+
+
+def _built_transversal(kind, n):
+    """(element, word) pairs built forward by multiplying the model images
+    of the crossings and bars along each representative word."""
+    from itertools import product
+
+    from tvbraid.perms import FlipVector, Permutation, SignedPermutation
+    from tvbraid.words import rho
+
+    pairs = []
+    if kind == "bars":
+        for mask in range(1 << n):
+            el, atoms = FlipVector.identity(n), []
+            for k in range(1, n + 1):
+                if mask >> (k - 1) & 1:
+                    el = el * FlipVector.unit(n, k)
+                    atoms.append(gamma(k))
+            pairs.append((el, atoms))
+        return pairs
+    for js in product(*[range(k, 0, -1) for k in range(2, n + 1)]):
+        el, atoms = Permutation.identity(n), []
+        for k, j in zip(range(2, n + 1), js):
+            for m in range(k - 1, j - 1, -1):
+                el = el * Permutation.transposition(n, m, m + 1)
+                atoms.append(rho(m))
+        if kind == "perm":
+            pairs.append((el, atoms))
+            continue
+        for mask in range(1 << n):
+            sel, satoms = SignedPermutation(el, FlipVector.identity(n)), list(atoms)
+            for k in range(1, n + 1):
+                if mask >> (k - 1) & 1:
+                    bar = SignedPermutation(Permutation.identity(n), FlipVector.unit(n, k))
+                    sel = sel * bar
+                    satoms.append(gamma(k))
+            pairs.append((sel, satoms))
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "kind,name,ranks",
+    [("perm", "tvp", range(1, 7)), ("bars", "pl", range(1, 7)), ("perm-bars", "pt", range(1, 6))],
+)
+def test_decoder_matches_built_transversal(kind, name, ranks):
+    for n in ranks:
+        tr = make_context(name, n).transversal
+        pairs = _built_transversal(kind, n)
+        assert len(tr) == len(pairs)
+        assert tr.order == [el for el, _ in pairs]
+        words = {tuple(atoms) for _, atoms in pairs}
+        for el, atoms in pairs:
+            assert tr.lookup(el).atoms == tuple(atoms), (kind, n, atoms)
+            # Schreier property: each prefix is the representative of its coset
+            assert all(tuple(atoms[:k]) in words for k in range(len(atoms))), atoms
+
+
+def test_lookup_rejects_foreign_elements():
+    from tvbraid.perms import Permutation
+
+    tr = make_context("tvp", 3).transversal
+    with pytest.raises(ValueError, match=r"element \[2,1\] has no coset representative"):
+        tr.lookup(Permutation([2, 1]))
+
+
+def test_rank_eight_without_enumeration():
+    ctx = make_context("pt", 8)
+    assert len(ctx.transversal) == 2 ** 8 * factorial(8)
+    got = rewrite_tau(ctx, parse_word("s1 r1 g3 s2^-1 r2 g3", 8))
+    assert format_word(got.word) == "l1,2^-1 l2,3:2"
+    w = parse_word("s3 g1 r7 s5^-1", 8)
+    k, t = split(ctx, w)
+    assert format_word(t) == "r3 r5 r7 g1"
+    assert _raw_image(ctx.hom, t) == _raw_image(ctx.hom, w)
+    assert format_word(rewrite_tau(ctx, k).word) == "l3,4^-1 l5,6:56"
+    assert "order" not in vars(ctx.transversal)
+    assert "table" not in vars(ctx.transversal)
+
+
+def test_out_of_domain_atom():
+    ctx = make_context("pt", 3)
+    u = Word(3, [Atom("l", 1, 2)], check=False)
+    with pytest.raises(ValueError, match=r"atom not in the domain of phiPT: Atom\(kind='l'"):
+        rewrite_tau(ctx, u)
+    with pytest.raises(ValueError, match="rank mismatch"):
+        rewrite_tau(ctx, parse_word("s1 s1^-1", 2))
+
+
+def test_failed_rewrite_keeps_context_usable():
+    ctx = make_context("tvp", 3)
+    with pytest.raises(ValueError):
+        rewrite_tau(ctx, parse_word("s1 r2 s2", 3))
+    with pytest.raises(ValueError):
+        rewrite_tau(ctx, Word(3, [Atom("s", 1), Atom("l", 1, 2)], check=False))
+    for name, n, text, expect in FROZEN_TAU:
+        if (name, n) == ("tvp", 3):
+            assert format_word(rewrite_tau(ctx, parse_word(text, n)).word) == expect
+    fresh = make_context("tvp", 3)
+    u = parse_word("s1 r2 s2 s2^-1 r2 s1^-1", 3)
+    assert rewrite_tau(ctx, u) == rewrite_tau(fresh, u)
+
+
+def test_classify_rejects_non_transversal_words():
+    ctx = make_context("pl", 3)
+    with pytest.raises(ValueError, match="not a transversal word"):
+        classify(ctx, parse_word("g2 g1", 3), Atom("l", 1, 2))
+    assert classify(ctx, parse_word("g1 g2", 3), Atom("l", 1, 2)) == Atom("l", 1, 2, (1, 2))
+    with pytest.raises(ValueError, match="positive atom"):
+        classify(ctx, parse_word("g1", 3), Atom("l", 1, 2, sign=-1))
+
+
+@lru_cache(maxsize=None)
+def _context_and_letters(name, n):
+    ctx = make_context(name, n)
+    return ctx, build_presentation(KERNEL_TABLE[name][0], n).generators
+
+
+_PICKS = st.lists(st.tuples(st.integers(0, 63), st.booleans()), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(KERNEL_TABLE)), st.integers(2, 4), _PICKS, _PICKS)
+def test_rewrite_is_multiplicative(name, n, picks_u, picks_v):
+    ctx, letters = _context_and_letters(name, n)
+
+    def kernel_word(picks):
+        atoms = []
+        for i, inverted in picks:
+            a = letters[i % len(letters)]
+            atoms.append(a.inverse() if inverted else a)
+        return split(ctx, Word(n, atoms, check=False))[0]
+
+    u, v = kernel_word(picks_u), kernel_word(picks_v)
+    uv = rewrite_tau(ctx, Word(n, u.atoms + v.atoms, check=False)).word
+    ru, rv = rewrite_tau(ctx, u).word, rewrite_tau(ctx, v).word
+    assert uv == free_reduce(Word(n, ru.atoms + rv.atoms, check=False))
