@@ -155,10 +155,6 @@ def abelian_invariants(pres: Presentation) -> AbelianInvariants:
     )
 
 
-def same_invariants(a: AbelianInvariants, b: AbelianInvariants) -> bool:
-    return a == b
-
-
 def invariants_text(inv: AbelianInvariants) -> str:
     """Direct-sum notation with explicit exponents, e.g. ``Z^1 + Z_2^4``;
     the trivial group prints as ``0``."""

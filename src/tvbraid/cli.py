@@ -52,12 +52,14 @@ def _gather_words(args) -> list[str]:
     return [line.strip() for line in sys.stdin if line.strip()]
 
 
-def _emit(results, as_json: bool):
+def _emit(results, as_json: bool, text=str):
+    """One line per result, or JSON: a single result bare, any other
+    number of results (none included) as a list."""
     if as_json:
-        print(json.dumps(results if len(results) > 1 else results[0]))
+        print(json.dumps(results[0] if len(results) == 1 else results))
     else:
         for r in results:
-            print(r)
+            print(text(r))
 
 
 def _cmd_normalize(args):
@@ -82,11 +84,7 @@ def _cmd_kernel(args):
     n = args.n[0]
     h = make_hom(args.hom, n)
     verdicts = [in_kernel(h, parse_word(text, n)) for text in _gather_words(args)]
-    if args.json:
-        print(json.dumps(verdicts if len(verdicts) > 1 else verdicts[0]))
-    else:
-        for v in verdicts:
-            print("true" if v else "false")
+    _emit(verdicts, args.json, lambda v: "true" if v else "false")
     return 0
 
 

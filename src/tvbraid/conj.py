@@ -93,20 +93,31 @@ def conjugate_by_bars(ks, w: Word) -> Word:
     )
 
 
-def conjugation_orbit(w: Word, n: int) -> list[Word]:
+def _bar_subsets(w: Word):
+    """Bar sets to conjugate w by: the subsets of the strands its pair
+    atoms touch.
+
+    Every other bar fixes each atom of w, so these sets reach every bar
+    conjugate.  They come in ascending bitmask order over {1..n} (bit b of
+    the local mask names the b-th smallest strand, a map that keeps
+    order), so each conjugate is first reached by the same set as in a
+    walk over all 2^n subsets.
+    """
+    support = sorted({k for a in w.atoms if a.j is not None for k in (a.i, a.j)})
+    for mask in range(1 << len(support)):
+        yield [k for b, k in enumerate(support) if mask >> b & 1]
+
+
+def conjugation_orbit(w: Word) -> list[Word]:
     """All distinct bar conjugates of a bar-free decorated word.
 
-    Runs over every subset of {1..n} in ascending bitmask order and keeps
-    one representative per cyclic class, so the output order is
-    deterministic.
+    Keeps one representative per cyclic class, in the order the bar sets
+    of ``_bar_subsets`` reach them, so the output order is deterministic.
     """
     seen = {}
-    for mask in range(1 << n):
-        ks = [k + 1 for k in range(n) if mask >> k & 1]
+    for ks in _bar_subsets(w):
         cand = conjugate_by_bars(ks, w)
-        key = canonical_key(cand)
-        if key not in seen:
-            seen[key] = cand
+        seen.setdefault(canonical_key(cand), cand)
     return list(seen.values())
 
 

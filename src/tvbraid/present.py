@@ -23,9 +23,9 @@ such as ``g1 g1`` are themselves relators and must survive storage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
-from .conj import canonicalize_atom, conjugate_by_bars, expand_atom
+from .conj import _bar_subsets, canonicalize_atom, conjugate_by_bars, expand_atom
 from .words import (
     Atom,
     Word,
@@ -90,14 +90,6 @@ class Presentation:
         if not w.atoms:
             return None
         return self.relator_keys().get(canonical_key(w))
-
-    def matches_relator(self, w: Word) -> bool:
-        """True if w is an instance of some relator up to rotation and
-        inversion, or collapses to nothing outright."""
-        w = free_reduce(w)
-        if not w.atoms:
-            return True
-        return canonical_key(w) in self.relator_keys()
 
     def __repr__(self) -> str:
         return (
@@ -215,31 +207,18 @@ def _x_braids(n):
         yield f"x-braid({i},{k},{j})", _eq(n, [a, b, a], [b, a, b])
 
 
-def _lambda_bar_relators(n):
+def _pair_bar_relators(n, make, label):
     for i, j in permutations(range(1, n + 1), 2):
         for k in range(1, n + 1):
             if k not in (i, j):
-                yield f"lambda-gamma-comm({i},{j};{k})", _comm(
-                    n, [lam(i, j)], [gamma(k)]
+                yield f"{label}-gamma-comm({i},{j};{k})", _comm(
+                    n, [make(i, j)], [gamma(k)]
                 )
     for i, j in permutations(range(1, n + 1), 2):
-        yield f"lambda-swap({i},{j})", _eq(
+        yield f"{label}-swap({i},{j})", _eq(
             n,
-            [lam(i, j)],
-            [gamma(i), gamma(j), lam(j, i), gamma(j), gamma(i)],
-        )
-
-
-def _x_bar_relators(n):
-    for i, j in permutations(range(1, n + 1), 2):
-        for k in range(1, n + 1):
-            if k not in (i, j):
-                yield f"x-gamma-comm({i},{j};{k})", _comm(n, [xgen(i, j)], [gamma(k)])
-    for i, j in permutations(range(1, n + 1), 2):
-        yield f"x-swap({i},{j})", _eq(
-            n,
-            [xgen(i, j)],
-            [gamma(i), gamma(j), xgen(j, i), gamma(j), gamma(i)],
+            [make(i, j)],
+            [gamma(i), gamma(j), make(j, i), gamma(j), gamma(i)],
         )
 
 
@@ -248,13 +227,13 @@ def _orbit_relators(n, base_pairs):
 
     The base words may use larger-first pair atoms; those are folded to
     canonical decorated form first, so every output word is bar-free over
-    the decorated alphabet.  Masks run in ascending order per base relator,
-    which makes the registry order deterministic.
+    the decorated alphabet.  Bar sets run over the relator's own strands
+    in ascending bitmask order, which makes the registry order
+    deterministic.
     """
     for rid, w in base_pairs:
         folded = _word(n, [canonicalize_atom(a) for a in w.atoms])
-        for mask in range(1 << n):
-            ks = [k + 1 for k in range(n) if mask >> k & 1]
+        for ks in _bar_subsets(folded):
             deco = "".join(str(k) for k in ks)
             yield f"{rid}|S={deco or '0'}", conjugate_by_bars(ks, folded)
 
@@ -273,80 +252,40 @@ def build_presentation(family: str, n: int) -> Presentation:
     sig = [sigma(i) for i in range(1, n)]
     vr = [rho(i) for i in range(1, n)]
     bars = [gamma(i) for i in range(1, n + 1)]
-    pairs_l = [lam(i, j) for i, j in permutations(range(1, n + 1), 2)]
-    pairs_x = [xgen(i, j) for i, j in permutations(range(1, n + 1), 2)]
     if family == "bn":
         gens, rels = sig, _braid_relators(n)
     elif family == "vbn":
-        gens = sig + vr
-        rels = list(_braid_relators(n)) + list(_virtual_relators(n))
+        gens, rels = sig + vr, chain(_braid_relators(n), _virtual_relators(n))
     elif family == "tvbn":
         gens = sig + vr + bars
-        rels = (
-            list(_braid_relators(n))
-            + list(_virtual_relators(n))
-            + list(_twisted_ambient_relators(n))
-        )
-    elif family == "vpn":
-        gens = pairs_l
-        rels = list(_pair_relators(n, lam, "lambda")) + list(_lambda_triples(n))
-    elif family == "vhn":
-        gens = pairs_x
-        rels = list(_pair_relators(n, xgen, "x")) + list(_x_braids(n))
-    elif family == "tvpn":
-        gens = pairs_l + bars
-        rels = (
-            list(_pair_relators(n, lam, "lambda"))
-            + list(_lambda_triples(n))
-            + list(_bar_relators(n))
-            + list(_lambda_bar_relators(n))
-        )
-    elif family == "tvhn":
-        gens = pairs_x + bars
-        rels = (
-            list(_pair_relators(n, xgen, "x"))
-            + list(_x_braids(n))
-            + list(_bar_relators(n))
-            + list(_x_bar_relators(n))
+        rels = chain(
+            _braid_relators(n), _virtual_relators(n), _twisted_ambient_relators(n)
         )
     elif family == "tsn":
         gens = vr + bars
-        rels = list(_virtual_relators_no_sigma(n)) + list(_ts_bar_relators(n))
+        rels = (
+            (rid, w)
+            for rid, w in chain(_virtual_relators(n), _twisted_ambient_relators(n))
+            if all(a.kind != "s" for a in w.atoms)
+        )
     elif family == "an":
         gens, rels = bars, _bar_relators(n)
-    elif family == "pln":
-        gens = list(_decorated_generators(n, "l"))
-        base = list(_pair_relators(n, lam, "lambda")) + list(_lambda_triples(n))
-        rels = _orbit_relators(n, base)
     else:
-        gens = list(_decorated_generators(n, "x"))
-        base = list(_pair_relators(n, xgen, "x")) + list(_x_braids(n))
-        rels = _orbit_relators(n, base)
+        if family in ("vpn", "tvpn", "pln"):
+            kind, make, label, core = "l", lam, "lambda", _lambda_triples(n)
+        else:
+            kind, make, label, core = "x", xgen, "x", _x_braids(n)
+        pure = chain(_pair_relators(n, make, label), core)
+        pairs = [make(i, j) for i, j in permutations(range(1, n + 1), 2)]
+        if family in ("vpn", "vhn"):
+            gens, rels = pairs, pure
+        elif family in ("tvpn", "tvhn"):
+            gens = pairs + bars
+            rels = chain(pure, _bar_relators(n), _pair_bar_relators(n, make, label))
+        else:
+            gens = list(_decorated_generators(n, kind))
+            rels = _orbit_relators(n, pure)
     return Presentation(family, n, gens, _dedup(rels))
-
-
-def _virtual_relators_no_sigma(n):
-    for i in range(1, n):
-        yield f"rho-square({i})", _word(n, [rho(i), rho(i)])
-    for i in range(1, n - 1):
-        yield f"rho-braid({i})", _eq(
-            n, [rho(i), rho(i + 1), rho(i)], [rho(i + 1), rho(i), rho(i + 1)]
-        )
-    for i, j in permutations(range(1, n), 2):
-        if abs(i - j) >= 2:
-            yield f"rho-comm({i},{j})", _comm(n, [rho(i)], [rho(j)])
-
-
-def _ts_bar_relators(n):
-    yield from _bar_relators(n)
-    for i in range(1, n):
-        for j in range(1, n + 1):
-            if j not in (i, i + 1):
-                yield f"gamma-rho-comm({j};{i})", _comm(n, [gamma(j)], [rho(i)])
-    for i in range(1, n):
-        yield f"gamma-rho-shift({i})", _eq(
-            n, [rho(i), gamma(i)], [gamma(i + 1), rho(i)]
-        )
 
 
 _EXPR_STYLE = {

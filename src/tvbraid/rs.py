@@ -349,30 +349,6 @@ def derive_relators(ctx: RSContext) -> list[DerivedRelator]:
     return out
 
 
-def derived_presentation(ctx: RSContext, derived=None) -> Presentation:
-    from .present import Relator, _decorated_generators
-    from itertools import permutations
-
-    if derived is None:
-        derived = derive_relators(ctx)
-    if ctx.name == "tvp":
-        gens = [Atom("l", i, j) for i, j in permutations(range(1, ctx.n + 1), 2)]
-        gens += [gamma(k) for k in range(1, ctx.n + 1)]
-    elif ctx.name == "tvh":
-        gens = [Atom("x", i, j) for i, j in permutations(range(1, ctx.n + 1), 2)]
-        gens += [gamma(k) for k in range(1, ctx.n + 1)]
-    elif ctx.name in ("pt", "pl"):
-        gens = list(_decorated_generators(ctx.n, "l"))
-    else:
-        gens = list(_decorated_generators(ctx.n, "x"))
-    return Presentation(
-        f"derived-{ctx.name}",
-        ctx.n,
-        gens,
-        [Relator(d.rid, d.word) for d in derived],
-    )
-
-
 def split(ctx: RSContext, w: Word) -> tuple[Word, Word]:
     """Factor w as (kernel word) * (coset representative)."""
     t = representative(ctx, w)

@@ -113,6 +113,13 @@ def gamma(i: int) -> Atom:
     return Atom("g", i)
 
 
+def _pair_atom(kind: str, i: int, j: int, deco, sign: int, check: bool) -> Atom:
+    deco = tuple(sorted(set(deco)))
+    if check and any(d not in (i, j) for d in deco):
+        raise ValueError(f"decoration {deco} not a subset of {{{i}, {j}}}")
+    return Atom(kind, i, j, deco, sign)
+
+
 def lam(i: int, j: int, deco=(), sign: int = 1, check: bool = True) -> Atom:
     """Pair generator l<i>,<j>, optionally decorated.
 
@@ -120,17 +127,12 @@ def lam(i: int, j: int, deco=(), sign: int = 1, check: bool = True) -> Atom:
     {i, j}; check=False admits any indices, which transcriptions of
     externally printed relator tables need.
     """
-    deco = tuple(sorted(set(deco)))
-    if check and any(d not in (i, j) for d in deco):
-        raise ValueError(f"decoration {deco} not a subset of {{{i}, {j}}}")
-    return Atom("l", i, j, deco, sign)
+    return _pair_atom("l", i, j, deco, sign, check)
 
 
 def xgen(i: int, j: int, deco=(), sign: int = 1, check: bool = True) -> Atom:
-    deco = tuple(sorted(set(deco)))
-    if check and any(d not in (i, j) for d in deco):
-        raise ValueError(f"decoration {deco} not a subset of {{{i}, {j}}}")
-    return Atom("x", i, j, deco, sign)
+    """Pair generator x<i>,<j>; arguments as for ``lam``."""
+    return _pair_atom("x", i, j, deco, sign, check)
 
 
 class Word:

@@ -74,6 +74,21 @@ def test_json_batch(capsys, monkeypatch):
     assert json.loads(out) == ["[1,0]", "[0,1]"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("normalize", "-n", "3"),
+        ("image", "--hom", "phiP", "-n", "3"),
+        ("kernel", "--hom", "phiP", "-n", "3"),
+        ("rewrite", "--into", "tvp", "-n", "3"),
+    ],
+)
+def test_json_empty_batch(capsys, monkeypatch, argv):
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert (code, out, err) == (0, "[]\n", "")
+
+
 def test_parse_error_exit(capsys):
     code, _, err = run_cli(capsys, "normalize", "-n", "3", "q1")
     assert code == 2

@@ -15,7 +15,16 @@ from tvbraid.conj import (
 from tvbraid.homs import _raw_image, make_hom
 from tvbraid.perms import Permutation
 from tvbraid.present import generator_expression
-from tvbraid.words import Word, canonical_key, free_reduce, gamma, lam, parse_word, xgen
+from tvbraid.words import (
+    Word,
+    canonical_key,
+    format_word,
+    free_reduce,
+    gamma,
+    lam,
+    parse_word,
+    xgen,
+)
 
 
 def all_decorated(n, kind):
@@ -110,16 +119,19 @@ def test_normalize_decorated_bar_suffix():
 def test_conjugation_orbit_size():
     # a fully supported generator pair meets all four decorations twice over
     w = Word(3, [lam(1, 2)])
-    orbit = conjugation_orbit(w, 3)
+    orbit = conjugation_orbit(w)
     keys = {canonical_key(x) for x in orbit}
     assert len(orbit) == len(keys)
     assert len(orbit) == 4
+    # bars off the pair's strands add nothing at a higher rank
+    orbit = conjugation_orbit(Word(5, [lam(1, 2)]))
+    assert [format_word(x) for x in orbit] == ["l1,2", "l1,2:1", "l1,2:2", "l1,2:12"]
 
 
 def test_psi_image_constant_on_orbits():
     h = make_hom("psiP", 3)
     base = free_reduce(parse_word("l1,2 l1,3 l2,3 l3,2^-1 l3,1^-1 l2,1^-1", 3))
-    for w in conjugation_orbit(base, 3):
+    for w in conjugation_orbit(base):
         assert _raw_image(h, w).is_identity()
 
 

@@ -1,14 +1,23 @@
 """Byte-for-byte comparison with frozen rewriting output.
 
 The files under tests/golden/ hold the derived relator lines of every
-kernel context at n=2..4 and the representative words of every
-transversal kind at n=2..5, in the order the library produces them.
+kernel context at n=2..4, the representative words of every transversal
+kind at n=2..5, in the order the library produces them, and the sha256 of
+every stored presentation at n=1..6 (its text followed by its JSON).
 """
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
+from tvbraid.present import (
+    FAMILIES,
+    build_presentation,
+    presentation_dict,
+    presentation_text,
+)
 from tvbraid.rs import KERNEL_TABLE, derive_relators, make_context
 from tvbraid.words import format_word
 
@@ -36,3 +45,15 @@ def test_transversal_words(kind):
         assert tr.name == kind
         words = [format_word(w) for w in tr.words()]
         assert words == _golden(f"transversal_{kind}_{n}.txt"), (kind, n)
+
+
+def test_presentation_digests():
+    want = {}
+    for line in _golden("presentations.txt"):
+        family, n, digest = line.split()
+        want[family, int(n)] = digest
+    assert set(want) == {(f, n) for f in FAMILIES for n in range(1, 7)}
+    for (family, n), digest in want.items():
+        pres = build_presentation(family, n)
+        data = presentation_text(pres) + json.dumps(presentation_dict(pres))
+        assert hashlib.sha256(data.encode()).hexdigest() == digest, (family, n)

@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from tvbraid.conj import expand_word
+from tvbraid.conj import conjugate_by_bars, expand_word
 from tvbraid.homs import _raw_image, make_hom
 from tvbraid.present import (
     FAMILIES,
@@ -66,6 +66,23 @@ def test_relators_distinct_up_to_cyclic_class():
         assert len(set(keys)) == len(keys), family
 
 
+@pytest.mark.parametrize(
+    "family, n, calls", [("pln", 4, 576), ("pln", 5, 2400), ("hln", 5, 2400)]
+)
+def test_orbits_conjugate_only_by_bars_on_own_strands(monkeypatch, family, n, calls):
+    # 2^|strands| bar sets per base relator: 16 per commutator, 8 per triple
+    count = 0
+
+    def counted(ks, w):
+        nonlocal count
+        count += 1
+        return conjugate_by_bars(ks, w)
+
+    monkeypatch.setattr("tvbraid.present.conjugate_by_bars", counted)
+    build_presentation(family, n)
+    assert count == calls
+
+
 def test_unknown_family():
     with pytest.raises(ValueError):
         build_presentation("nope", 3)
@@ -100,8 +117,8 @@ def test_matches_relator_handles_rotations():
     atoms = r.word.atoms
     rotated = Word(3, atoms[2:] + atoms[:2])
     assert pres.find_matching(rotated) == "lambda-swap(1,2)"
-    assert pres.matches_relator(parse_word("", 3))
-    assert not pres.matches_relator(parse_word("l1,2", 3))
+    assert pres.find_matching(parse_word("", 3)) is None
+    assert pres.find_matching(parse_word("l1,2", 3)) is None
 
 
 def test_generator_expressions_frozen():

@@ -13,7 +13,6 @@ from tvbraid.rs import (
     KERNEL_TABLE,
     classify,
     derive_relators,
-    derived_presentation,
     make_context,
     representative,
     rewrite_tau,
@@ -231,16 +230,6 @@ def test_derived_relator_lines():
     first = lines[0].split()
     assert first[0] == "relator"
     assert first[1] == "d1"
-
-
-def test_derived_presentation():
-    ctx = make_context("pl", 3)
-    pres = derived_presentation(ctx)
-    assert len(pres.relators) == 24
-    assert pres.n == 3
-    # every derived relator is a word over the subgroup alphabet
-    for r in pres.relators:
-        assert all(a.kind in ("l", "g") for a in r.word.atoms)
 
 
 def test_kernel_table_contexts():
