@@ -15,7 +15,7 @@ which turns l<i>,<j>:<S> with i > j into l<j>,<i>:<{i,j} xor S>.
 from __future__ import annotations
 
 from .perms import Permutation
-from .words import Atom, Word, canonical_key, gamma
+from .words import ALPHABETS, Atom, Word, _atom, canonical_key, gamma
 
 _DECORATED = ("l", "x")
 
@@ -32,7 +32,7 @@ def canonicalize_atom(a: Atom) -> Atom:
     if any(d not in pair for d in a.deco):
         raise ValueError(f"decoration {a.deco} not inside pair ({a.i}, {a.j})")
     deco = tuple(sorted(pair.symmetric_difference(a.deco)))
-    return Atom(a.kind, a.j, a.i, deco, a.sign)
+    return _atom(a.kind, a.j, a.i, deco, a.sign)
 
 
 def act_gamma(k: int, a: Atom) -> Atom:
@@ -45,7 +45,7 @@ def act_gamma(k: int, a: Atom) -> Atom:
     if k not in (a.i, a.j):
         return a
     deco = tuple(sorted({k}.symmetric_difference(a.deco)))
-    return Atom(a.kind, a.i, a.j, deco, a.sign)
+    return _atom(a.kind, a.i, a.j, deco, a.sign)
 
 
 def act_gamma_set(ks, a: Atom) -> Atom:
@@ -58,10 +58,10 @@ def act_sn(p: Permutation, a: Atom) -> Atom:
     """Push a permutation of the strand indices through an atom; the result
     of a pair atom is re-canonicalized."""
     if a.kind == "g":
-        return Atom("g", p(a.i))
+        return gamma(p(a.i))
     if a.kind not in _DECORATED:
         raise ValueError(f"act_sn undefined for kind {a.kind!r}")
-    moved = Atom(a.kind, p(a.i), p(a.j), tuple(sorted(p(d) for d in a.deco)), a.sign)
+    moved = _atom(a.kind, p(a.i), p(a.j), tuple(sorted(p(d) for d in a.deco)), a.sign)
     return canonicalize_atom(moved)
 
 
@@ -83,13 +83,13 @@ def normalize_decorated(w: Word) -> Word:
         else:
             raise ValueError(f"cannot normalize kind {a.kind!r}")
     out.extend(gamma(k) for k in sorted(pending))
-    return Word(w.n, out, w.alphabet, check=False)
+    return Word._trusted(w.n, tuple(out), w.alphabet)
 
 
 def conjugate_by_bars(ks, w: Word) -> Word:
     """Conjugate a bar-free decorated word by the bar set, atom by atom."""
-    return Word(
-        w.n, (act_gamma_set(ks, a) for a in w.atoms), w.alphabet, check=False
+    return Word._trusted(
+        w.n, tuple(act_gamma_set(ks, a) for a in w.atoms), w.alphabet
     )
 
 
@@ -121,24 +121,30 @@ def conjugation_orbit(w: Word) -> list[Word]:
     return list(seen.values())
 
 
+def _expanded(a: Atom) -> tuple:
+    asc = tuple(gamma(k) for k in a.deco)
+    return asc[::-1] + (_atom(a.kind, a.i, a.j, (), a.sign),) + asc
+
+
 def expand_atom(a: Atom, n: int) -> Word:
     """Decorated atom as a word over the undecorated pair alphabet plus bars:
     descending conjugator bars, the bare pair atom, ascending bars."""
     if a.kind not in _DECORATED:
         raise ValueError(f"expand_atom is for pair atoms, got {a.kind!r}")
-    asc = [gamma(k) for k in a.deco]
-    base = Atom(a.kind, a.i, a.j, (), a.sign)
-    return Word(n, list(reversed(asc)) + [base] + asc, check=False)
+    return Word(n, _expanded(a), check=False)
 
 
 def expand_word(w: Word) -> Word:
     out = []
     for a in w.atoms:
         if a.kind in _DECORATED and a.deco:
-            out.extend(expand_atom(a, w.n).atoms)
+            out.extend(_expanded(a))
         else:
             out.append(a)
-    return Word(w.n, out, w.alphabet, check=False)
+    if "g" not in ALPHABETS[w.alphabet]:
+        # expanding a decoration adds bars, which this alphabet rejects
+        return Word(w.n, out, w.alphabet, check=False)
+    return Word._trusted(w.n, tuple(out), w.alphabet)
 
 
 def check_generator_identification(n: int, kind: str = "l") -> list[str]:

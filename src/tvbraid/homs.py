@@ -19,7 +19,19 @@ from .perms import (
     strip_sign,
 )
 from .present import Presentation, build_presentation
-from .words import Atom, Word, format_word, free_reduce, gamma, invert, lam, xgen
+from .words import (
+    Atom,
+    Word,
+    _atom,
+    format_word,
+    free_reduce,
+    gamma,
+    invert,
+    lam,
+    rho,
+    sigma,
+    xgen,
+)
 
 #: name -> (source family, target family or model kind)
 HOM_TABLE = {
@@ -79,10 +91,10 @@ def _perm_images(n, sigma_to_transposition):
     images = {}
     for i in range(1, n):
         t = Permutation.transposition(n, i, i + 1)
-        images[Atom("s", i)] = t if sigma_to_transposition else ident
-        images[Atom("r", i)] = t
+        images[sigma(i)] = t if sigma_to_transposition else ident
+        images[rho(i)] = t
     for j in range(1, n + 1):
-        images[Atom("g", j)] = ident
+        images[gamma(j)] = ident
     return images, ident
 
 
@@ -93,10 +105,10 @@ def _signed_images(n, sigma_to_transposition):
         t = SignedPermutation(
             Permutation.transposition(n, i, i + 1), FlipVector.identity(n)
         )
-        images[Atom("s", i)] = t if sigma_to_transposition else ident
-        images[Atom("r", i)] = t
+        images[sigma(i)] = t if sigma_to_transposition else ident
+        images[rho(i)] = t
     for j in range(1, n + 1):
-        images[Atom("g", j)] = SignedPermutation(
+        images[gamma(j)] = SignedPermutation(
             Permutation.identity(n), FlipVector.unit(n, j)
         )
     return images, ident
@@ -108,9 +120,9 @@ def _flip_images(n, pair_kind):
     ident = FlipVector.identity(n)
     images = {}
     for i, j in permutations(range(1, n + 1), 2):
-        images[Atom(pair_kind, i, j)] = ident
+        images[_atom(pair_kind, i, j)] = ident
     for j in range(1, n + 1):
-        images[Atom("g", j)] = FlipVector.unit(n, j)
+        images[gamma(j)] = FlipVector.unit(n, j)
     return images, ident
 
 
@@ -154,7 +166,7 @@ def _eval_symbolic(h: Homomorphism, w: Word) -> Word:
                 f"atom {a} is not a generator of {h.source_family}"
             ) from None
         atoms.extend(img.atoms if a.sign == 1 else invert(img).atoms)
-    return free_reduce(Word(w.n, atoms, check=False))
+    return free_reduce(Word._trusted(w.n, tuple(atoms)))
 
 
 def _raw_image(h: Homomorphism, w: Word):

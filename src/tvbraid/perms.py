@@ -7,7 +7,7 @@ same order, which keeps eval(u v) == eval(u) * eval(v) without reversals.
 
 from __future__ import annotations
 
-from .words import Atom, Word
+from .words import Atom, Word, _atom
 
 
 class Permutation:
@@ -203,7 +203,7 @@ def format_element(e) -> str:
 
 
 def strip_sign(a: Atom) -> Atom:
-    return a if a.sign == 1 else Atom(a.kind, a.i, a.j, a.deco, 1)
+    return a if a.sign == 1 else _atom(a.kind, a.i, a.j, a.deco, 1)
 
 
 def eval_word(w: Word, images: dict, identity):

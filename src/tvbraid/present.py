@@ -29,6 +29,7 @@ from .conj import _bar_subsets, canonicalize_atom, conjugate_by_bars, expand_ato
 from .words import (
     Atom,
     Word,
+    _atom,
     _raw_invert_atoms,
     canonical_key,
     format_atom,
@@ -99,7 +100,7 @@ class Presentation:
 
 
 def _word(n, atoms) -> Word:
-    return Word(n, atoms, check=False)
+    return Word._trusted(n, tuple(atoms))
 
 
 def _eq(n, lhs, rhs) -> Word:
@@ -241,7 +242,7 @@ def _orbit_relators(n, base_pairs):
 def _decorated_generators(n, kind):
     for i, j in combinations(range(1, n + 1), 2):
         for deco in ((), (i,), (j,), (i, j)):
-            yield Atom(kind, i, j, deco)
+            yield _atom(kind, i, j, deco)
 
 
 def build_presentation(family: str, n: int) -> Presentation:
@@ -325,9 +326,9 @@ def generator_expression(a: Atom, n: int, family: str, target: str = "ambient") 
     if a.deco:
         bars = [gamma(k) for k in a.deco]
         core = generator_expression(
-            Atom(a.kind, a.i, a.j, (), a.sign), n, family, "ambient"
+            _atom(a.kind, a.i, a.j, (), a.sign), n, family, "ambient"
         )
-        return _word(n, tuple(reversed(bars)) + core.atoms + tuple(bars))
+        return Word(n, tuple(reversed(bars)) + core.atoms + tuple(bars), check=False)
     i, j = (a.i, a.j) if a.i < a.j else (a.j, a.i)
     if style == "signed":
         base = [rho(i), sigma(i, -1)] if a.i < a.j else [sigma(i, -1), rho(i)]
@@ -370,7 +371,7 @@ def eliminate_generators(pres: Presentation, removals: dict[Atom, Word]) -> Pres
         touched = False
         atoms: list[Atom] = []
         for a in r.word.atoms:
-            pos = a if a.sign == 1 else Atom(a.kind, a.i, a.j, a.deco, 1)
+            pos = a if a.sign == 1 else _atom(a.kind, a.i, a.j, a.deco, 1)
             if pos in sub:
                 touched = True
                 atoms.extend(sub[pos] if a.sign == 1 else inv_sub[pos])
@@ -379,7 +380,7 @@ def eliminate_generators(pres: Presentation, removals: dict[Atom, Word]) -> Pres
         if not touched:
             out.append((r.rid, r.word))
             continue
-        w = reduce(_word(pres.n, atoms))
+        w = reduce(Word(pres.n, atoms, check=False))
         if w.atoms:
             out.append((r.rid, w))
     return Presentation(f"{pres.family}-reduced", pres.n, gens, _dedup(out))

@@ -42,6 +42,7 @@ from .present import Presentation, build_presentation
 from .words import (
     Atom,
     Word,
+    _atom,
     _raw_invert_atoms,
     canonical_key,
     format_word,
@@ -111,10 +112,10 @@ class Transversal:
                 f"element {format_element(el)} has no coset representative"
             )
         if self.name == "perm":
-            return Word(self.n, self._crossings(el.images), "Ambient", check=False)
+            return Word._trusted(self.n, tuple(self._crossings(el.images)), "Ambient")
         atoms = [] if self.name == "bars" else self._crossings(el.perm.images)
         atoms += [self._gamma[k] for k in _bars(el)]
-        return Word(self.n, atoms, self._alphabet, check=False)
+        return Word._trusted(self.n, tuple(atoms), self._alphabet)
 
     @cached_property
     def order(self) -> list:
@@ -239,14 +240,14 @@ def _classify_element(ctx: RSContext, el, a: Atom):
             return gamma(pinv(a.i))
         if kind == "s":
             if ctx.name == "tvp":
-                return Atom("l", pinv(a.i), pinv(a.i + 1), (), -1)
-            return Atom("x", pinv(a.i), pinv(a.i + 1), (), 1)
+                return _atom("l", pinv(a.i), pinv(a.i + 1), (), -1)
+            return _atom("x", pinv(a.i), pinv(a.i + 1), (), 1)
     elif ctx.name in ("pt", "ht"):
         if kind in ("r", "g"):
             return None
         if kind == "s":
             base_kind, sign = ("l", -1) if ctx.name == "pt" else ("x", 1)
-            base = Atom(base_kind, a.i, a.i + 1, (), sign)
+            base = _atom(base_kind, a.i, a.i + 1, (), sign)
             return act_sn(el.perm.inverse(), act_gamma_set(_bars(el), base))
     else:
         if kind == "g":
@@ -263,7 +264,7 @@ def _cell(ctx: RSContext, cur, a: Atom):
     classified atom: a positive letter is classified at the coset before
     it, a negative one at the coset after it, and the atom inherits the
     letter's sign."""
-    nxt = cur * _raw_image(ctx.hom, Word(ctx.n, (a,), check=False))
+    nxt = cur * _raw_image(ctx.hom, Word._trusted(ctx.n, (a,)))
     c = _classify_element(ctx, cur if a.sign == 1 else nxt, strip_sign(a))
     if c is not None and a.sign == -1:
         c = c.inverse()
@@ -304,7 +305,7 @@ def rewrite_tau(ctx: RSContext, u: Word) -> RewriteResult:
             f"word is not in the {ctx.name} kernel; quotient image "
             f"{format_element(cur)}"
         )
-    raw = Word(ctx.n, out, ctx.sub_alphabet, check=False)
+    raw = Word._trusted(ctx.n, tuple(out), ctx.sub_alphabet)
     return RewriteResult(free_reduce(raw), raw)
 
 
@@ -332,10 +333,8 @@ def derive_relators(ctx: RSContext) -> list[DerivedRelator]:
     reps = ctx.transversal.words()
     for r in ctx.ambient.relators:
         for t in reps:
-            u = Word(
-                ctx.n,
-                t.atoms + r.word.atoms + _raw_invert_atoms(t.atoms),
-                check=False,
+            u = Word._trusted(
+                ctx.n, t.atoms + r.word.atoms + _raw_invert_atoms(t.atoms)
             )
             w = rewrite_tau(ctx, u).word
             if not w.atoms:
@@ -352,5 +351,5 @@ def derive_relators(ctx: RSContext) -> list[DerivedRelator]:
 def split(ctx: RSContext, w: Word) -> tuple[Word, Word]:
     """Factor w as (kernel word) * (coset representative)."""
     t = representative(ctx, w)
-    k = reduce(Word(ctx.n, w.atoms + _raw_invert_atoms(t.atoms), check=False))
+    k = reduce(Word._trusted(ctx.n, w.atoms + _raw_invert_atoms(t.atoms)))
     return k, t

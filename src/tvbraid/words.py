@@ -22,6 +22,11 @@ sign-carrying kinds (s, l, x) and is what relator bookkeeping uses, since it
 keeps squares such as ``g1 g1`` intact.  ``reduce`` additionally cancels
 adjacent equal involution atoms and is the normal form for ambient
 computation.
+
+Input is validated at the boundary: ``parse_word`` and the public ``Atom``
+and ``Word`` constructors check everything.  Atoms the library builds come
+from one table that validates each value the first time it is seen, and
+words derived from already checked words skip the checks.
 """
 
 from __future__ import annotations
@@ -95,29 +100,43 @@ class Atom:
     def inverse(self) -> "Atom":
         if self.kind in _INVOLUTION:
             return self
-        return Atom(self.kind, self.i, self.j, self.deco, -self.sign)
+        return _atom(self.kind, self.i, self.j, self.deco, -self.sign)
 
     def sort_key(self) -> tuple:
         return (_KIND_ORDER[self.kind], self.i, self.j or 0, self.deco, self.sign)
 
 
+#: (kind, i, j, deco, sign) -> the one validated Atom of that value
+_ATOMS: dict[tuple, Atom] = {}
+
+
+def _atom(kind: str, i: int, j: int | None = None, deco=(), sign: int = 1) -> Atom:
+    """The library's Atom of this value, built and validated only the first
+    time the value is seen.  ``deco`` must be a tuple."""
+    key = (kind, i, j, deco, sign)
+    a = _ATOMS.get(key)
+    if a is None:
+        a = _ATOMS[key] = Atom(kind, i, j, deco, sign)
+    return a
+
+
 def sigma(i: int, sign: int = 1) -> Atom:
-    return Atom("s", i, sign=sign)
+    return _atom("s", i, sign=sign)
 
 
 def rho(i: int) -> Atom:
-    return Atom("r", i)
+    return _atom("r", i)
 
 
 def gamma(i: int) -> Atom:
-    return Atom("g", i)
+    return _atom("g", i)
 
 
 def _pair_atom(kind: str, i: int, j: int, deco, sign: int, check: bool) -> Atom:
     deco = tuple(sorted(set(deco)))
     if check and any(d not in (i, j) for d in deco):
         raise ValueError(f"decoration {deco} not a subset of {{{i}, {j}}}")
-    return Atom(kind, i, j, deco, sign)
+    return _atom(kind, i, j, deco, sign)
 
 
 def lam(i: int, j: int, deco=(), sign: int = 1, check: bool = True) -> Atom:
@@ -166,6 +185,16 @@ class Word:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "alphabet", alphabet)
+
+    @classmethod
+    def _trusted(cls, n: int, atoms: tuple, alphabet: str = "Mixed") -> "Word":
+        """Word without checks, for a tuple of atoms already valid for rank
+        n and the alphabet: atoms of checked words or built by the library."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "n", n)
+        object.__setattr__(w, "atoms", atoms)
+        object.__setattr__(w, "alphabet", alphabet)
+        return w
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -278,13 +307,13 @@ def _cancel(atoms, involutions: bool):
 
 def free_reduce(w: Word) -> Word:
     """Cancel adjacent inverse pairs of s, l, x atoms only."""
-    return Word(w.n, _cancel(w.atoms, False), w.alphabet, check=False)
+    return Word._trusted(w.n, _cancel(w.atoms, False), w.alphabet)
 
 
 def reduce(w: Word) -> Word:
     """Full normal form: free reduction plus cancellation of adjacent equal
     involution atoms (r r, g g), iterated to a fixpoint in one stack pass."""
-    return Word(w.n, _cancel(w.atoms, True), w.alphabet, check=False)
+    return Word._trusted(w.n, _cancel(w.atoms, True), w.alphabet)
 
 
 def _raw_invert_atoms(atoms) -> tuple:
@@ -293,14 +322,14 @@ def _raw_invert_atoms(atoms) -> tuple:
 
 def invert(w: Word) -> Word:
     """Group inverse: reversed sequence with signs flipped, then reduced."""
-    return Word(w.n, _cancel(_raw_invert_atoms(w.atoms), True), w.alphabet, check=False)
+    return Word._trusted(w.n, _cancel(_raw_invert_atoms(w.atoms), True), w.alphabet)
 
 
 def concat(u: Word, v: Word) -> Word:
     if u.n != v.n:
         raise ValueError(f"rank mismatch: {u.n} vs {v.n}")
-    return Word(
-        u.n, u.atoms + v.atoms, join_alphabets(u.alphabet, v.alphabet), check=False
+    return Word._trusted(
+        u.n, u.atoms + v.atoms, join_alphabets(u.alphabet, v.alphabet)
     )
 
 
@@ -309,11 +338,10 @@ def conjugate(w: Word, a: Word) -> Word:
     if w.n != a.n:
         raise ValueError(f"rank mismatch: {w.n} vs {a.n}")
     inv = _raw_invert_atoms(a.atoms)
-    return Word(
+    return Word._trusted(
         w.n,
         _cancel(inv + w.atoms + a.atoms, True),
         join_alphabets(w.alphabet, a.alphabet),
-        check=False,
     )
 
 
@@ -354,8 +382,9 @@ def canonical_key(w: Word) -> tuple:
     run g2 g1 is sorted to g1 g2; both produce one key.
     """
     best = None
+    bars = any(a.kind == "g" for a in w.atoms)
     for base in (w.atoms, _raw_invert_atoms(w.atoms)):
-        atoms = _gamma_runsorted(base)
+        atoms = _gamma_runsorted(base) if bars else base
         m = len(atoms)
         if m == 0:
             return ()

@@ -43,8 +43,11 @@ def test_canonicalize_atom_swap():
     assert canonicalize_atom(lam(2, 1, (2,))) == lam(1, 2, (1,))
     assert canonicalize_atom(lam(1, 2, (1,))) == lam(1, 2, (1,))
     assert canonicalize_atom(lam(2, 1, sign=-1)).sign == -1
-    with pytest.raises(ValueError):
-        canonicalize_atom(lam(1, 2, (3,), check=False))
+    # the check holds for an atom the table already holds, in either order
+    for raw in (lam(1, 2, (3,), check=False), lam(2, 1, (3,), check=False)):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                canonicalize_atom(raw)
 
 
 def test_act_gamma_is_an_involution():

@@ -3,7 +3,8 @@
 The files under tests/golden/ hold the derived relator lines of every
 kernel context at n=2..4, the representative words of every transversal
 kind at n=2..5, in the order the library produces them, and the sha256 of
-every stored presentation at n=1..6 (its text followed by its JSON).
+every stored presentation at n=1..6, and of tvpn, tvhn, pln and hln at
+n=7 as well (its text followed by its JSON).
 """
 
 import hashlib
@@ -52,7 +53,9 @@ def test_presentation_digests():
     for line in _golden("presentations.txt"):
         family, n, digest = line.split()
         want[family, int(n)] = digest
-    assert set(want) == {(f, n) for f in FAMILIES for n in range(1, 7)}
+    assert set(want) == {(f, n) for f in FAMILIES for n in range(1, 7)} | {
+        (f, 7) for f in ("tvpn", "tvhn", "pln", "hln")
+    }
     for (family, n), digest in want.items():
         pres = build_presentation(family, n)
         data = presentation_text(pres) + json.dumps(presentation_dict(pres))

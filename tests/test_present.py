@@ -17,6 +17,7 @@ from tvbraid.present import (
     transcribed_pl_table,
 )
 from tvbraid.words import (
+    Atom,
     Word,
     canonical_key,
     format_word,
@@ -66,21 +67,38 @@ def test_relators_distinct_up_to_cyclic_class():
         assert len(set(keys)) == len(keys), family
 
 
+# (family, n) -> Atom validations from an empty atom table: one per
+# distinct atom built (22 453 for pln5 and 22 393 for hln5 when every
+# construction validated)
+ATOM_VALIDATIONS = {("pln", 4): 70, ("pln", 5): 113, ("hln", 5): 113}
+
+
 @pytest.mark.parametrize(
     "family, n, calls", [("pln", 4, 576), ("pln", 5, 2400), ("hln", 5, 2400)]
 )
 def test_orbits_conjugate_only_by_bars_on_own_strands(monkeypatch, family, n, calls):
     # 2^|strands| bar sets per base relator: 16 per commutator, 8 per triple
     count = 0
+    validations = 0
 
     def counted(ks, w):
         nonlocal count
         count += 1
         return conjugate_by_bars(ks, w)
 
+    post_init = Atom.__post_init__
+
+    def counted_post_init(self):
+        nonlocal validations
+        validations += 1
+        post_init(self)
+
     monkeypatch.setattr("tvbraid.present.conjugate_by_bars", counted)
+    monkeypatch.setattr(Atom, "__post_init__", counted_post_init)
+    monkeypatch.setattr("tvbraid.words._ATOMS", {})
     build_presentation(family, n)
     assert count == calls
+    assert validations == ATOM_VALIDATIONS[family, n]
 
 
 def test_unknown_family():

@@ -82,6 +82,24 @@ def test_atom_validation():
     assert lam(1, 2, (3,), check=False).deco == (3,)
     with pytest.raises(ValueError):
         Atom("q", 1)
+    with pytest.raises(ValueError):
+        Atom("l", 1, 1)
+    # a rank check still runs when the decoration check is waived
+    with pytest.raises(ParseError):
+        Word(3, [Atom("s", 5)], check=False)
+
+
+def test_library_atoms_come_from_one_table():
+    assert lam(1, 2) is lam(1, 2)
+    assert sigma(1).inverse().inverse() is sigma(1)
+    assert invert(Word(3, [sigma(2, -1)])).atoms[0] is sigma(2)
+    # atoms built outside the table still compare and hash by value
+    assert Atom("l", 1, 2) == lam(1, 2) and Atom("l", 1, 2) is not lam(1, 2)
+    assert hash(Atom("l", 1, 2, (1,))) == hash(lam(1, 2, (1,)))
+    # an invalid value is rejected every time, never stored
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            lam(1, 1)
 
 
 def test_involutions_fold_signs():
@@ -107,7 +125,9 @@ def test_parse_frozen_examples():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["q1", "s0", "s3", "l1,1", "l1,2:4", "s1^2", "s1^-2", "r1^-1x"]:
+    for bad in [
+        "q1", "s0", "s3", "l1,1", "l1,2:4", "l1,2:3", "s1^2", "s1^-2", "r1^-1x"
+    ]:
         with pytest.raises(ParseError):
             parse_word(bad, 3)
     with pytest.raises(ParseError):
