@@ -1,15 +1,16 @@
 """Integer Smith normal form and abelian invariants of presentations.
 
-Everything here is exact big-integer arithmetic.  The reduction tracks the
-right (column) transform so that words can be mapped to canonical
-coordinates in the abelianized group; row operations need no tracking.
-The pivot rule is deterministic: smallest nonzero absolute value in the
-remaining block, ties broken by lowest row then lowest column.
+Everything here is exact big-integer arithmetic.  The pivot rule is
+deterministic: smallest nonzero absolute value in the remaining block,
+ties broken by lowest row then lowest column, so the search stops at the
+first unit.  Relation matrices are almost empty, so rows are
+``{column: value}`` dicts without zeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from math import gcd
 
 from .perms import strip_sign
@@ -17,19 +18,20 @@ from .present import Presentation
 from .words import Word
 
 
+def _exponents(index, atoms, what) -> list[int]:
+    e = [0] * len(index)
+    for a in atoms:
+        try:
+            e[index[strip_sign(a)]] += a.sign
+        except KeyError:
+            raise ValueError(f"{what} {a} is not a generator") from None
+    return e
+
+
 def relation_matrix(pres: Presentation) -> list[list[int]]:
     """Exponent-sum matrix: one row per relator, one column per generator."""
     index = {g: k for k, g in enumerate(pres.generators)}
-    rows = []
-    for r in pres.relators:
-        row = [0] * len(pres.generators)
-        for a in r.word.atoms:
-            try:
-                row[index[strip_sign(a)]] += a.sign
-            except KeyError:
-                raise ValueError(f"relator atom {a} is not a generator") from None
-        rows.append(row)
-    return rows
+    return [_exponents(index, r.word.atoms, "relator atom") for r in pres.relators]
 
 
 @dataclass
@@ -50,76 +52,81 @@ def smith_normal_form(matrix) -> SmithForm:
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
-    A = [[int(x) for x in row] for row in matrix]
-    if any(len(row) != cols for row in A):
+    A = [{j: x for j, x in enumerate(map(int, row)) if x} for row in matrix]
+    if any(len(row) != cols for row in matrix):
         raise ValueError("ragged matrix")
-    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    W = [[int(i == j) for i in range(cols)] for j in range(cols)]  # V by columns
 
     def add_row(src, dst, q):
-        A[dst] = [a + q * b for a, b in zip(A[dst], A[src])]
+        row = A[dst]
+        for j, b in A[src].items():
+            if v := row.get(j, 0) + q * b:
+                row[j] = v
+            else:
+                row.pop(j, None)
 
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-
+    # Column work skips rows above min(i, j): they hold only their diagonal.
     def add_col(src, dst, q):
-        for row in A:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
+        for row in A[min(src, dst) :]:
+            if src in row:
+                if v := row.get(dst, 0) + q * row[src]:
+                    row[dst] = v
+                else:
+                    row.pop(dst, None)
+        W[dst] = [a + q * b for a, b in zip(W[dst], W[src])]
 
     def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
+        for row in A[min(i, j) :]:
+            if i in row or j in row:
+                a, b = row.pop(i, 0), row.pop(j, 0)
+                row |= {k: v for k, v in ((i, b), (j, a)) if v}
+        W[i], W[j] = W[j], W[i]
 
-    def negate_col(j):
-        for row in A:
-            row[j] = -row[j]
-        for row in V:
-            row[j] = -row[j]
+    def negate_col(j):  # column j is just A[j][j] here
+        A[j][j] = -A[j][j]
+        W[j] = [-a for a in W[j]]
 
     t = 0
     while True:
-        pivot = None
+        best = 0
         for i in range(t, rows):
-            for j in range(t, cols):
-                a = A[i][j]
-                if a and (pivot is None or abs(a) < abs(A[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+            if A[i]:
+                m = min(map(abs, A[i].values()))
+                if not best or m < best:
+                    best, pi = m, i
+                    if m == 1:
+                        break
+        if not best:
             break
-        if pivot != (t, t):
-            swap_rows(t, pivot[0])
-            swap_cols(t, pivot[1])
+        A[t], A[pi] = A[pi], A[t]
+        pj = min(j for j, a in A[t].items() if abs(a) == best)
+        if pj != t:
+            swap_cols(t, pj)
         while True:
             dirty = False
             for i in range(t + 1, rows):
-                if A[i][t]:
+                if t in A[i]:
                     add_row(t, i, -(A[i][t] // A[t][t]))
-                    if A[i][t]:
-                        swap_rows(t, i)
+                    if t in A[i]:
+                        A[t], A[i] = A[i], A[t]
                         dirty = True
-            for j in range(t + 1, cols):
-                if A[t][j]:
+            # Columns right of j are untouched until reached.
+            for j in sorted(A[t]):
+                if j > t:
                     add_col(t, j, -(A[t][j] // A[t][t]))
-                    if A[t][j]:
+                    if j in A[t]:
                         swap_cols(t, j)
                         dirty = True
-            if not dirty and all(
-                A[i][t] == 0 for i in range(t + 1, rows)
-            ) and all(A[t][j] == 0 for j in range(t + 1, cols)):
+            if not dirty:
                 break
         if A[t][t] < 0:
             negate_col(t)
         t += 1
     rank = t
 
-    # Enforce the divisibility chain pairwise.  Folding column k+1 into
-    # column k makes the block [[a, 0], [c, c]]; the gcd loop on rows puts
-    # gcd(a, c) at (k, k), after which the row entries right of it are
-    # exact multiples, so one column step finishes the block with the lcm
-    # at (k+1, k+1).
+    # Enforce the divisibility chain pairwise: folding column k+1 into k
+    # gives the block [[a, 0], [c, c]], Euclid on its rows puts gcd(a, c)
+    # at (k, k), and one column step leaves the lcm at (k+1, k+1).
     changed = True
     while changed:
         changed = False
@@ -128,16 +135,18 @@ def smith_normal_form(matrix) -> SmithForm:
                 continue
             changed = True
             add_col(k + 1, k, 1)
-            while A[k + 1][k]:
+            while A[k + 1].get(k):
                 q = A[k][k] // A[k + 1][k]
                 add_row(k + 1, k, -q)
-                swap_rows(k, k + 1)
-            assert A[k][k + 1] % A[k][k] == 0
-            add_col(k, k + 1, -(A[k][k + 1] // A[k][k]))
+                A[k], A[k + 1] = A[k + 1], A[k]
+            b = A[k].get(k + 1, 0)
+            assert b % A[k][k] == 0
+            add_col(k, k + 1, -(b // A[k][k]))
             if A[k][k] < 0:
                 negate_col(k)
             if A[k + 1][k + 1] < 0:
                 negate_col(k + 1)
+    V = [list(r) for r in zip(*W)]
     return SmithForm([A[k][k] for k in range(rank)], rank, V, cols)
 
 
@@ -158,18 +167,9 @@ def abelian_invariants(pres: Presentation) -> AbelianInvariants:
 def invariants_text(inv: AbelianInvariants) -> str:
     """Direct-sum notation with explicit exponents, e.g. ``Z^1 + Z_2^4``;
     the trivial group prints as ``0``."""
-    parts = []
-    if inv.free_rank:
-        parts.append(f"Z^{inv.free_rank}")
-    k = 0
-    while k < len(inv.torsion):
-        d = inv.torsion[k]
-        count = 1
-        while k + count < len(inv.torsion) and inv.torsion[k + count] == d:
-            count += 1
-        parts.append(f"Z_{d}^{count}")
-        k += count
-    return " + ".join(parts) if parts else "0"
+    parts = [f"Z^{inv.free_rank}"] if inv.free_rank else []
+    parts += [f"Z_{d}^{len(list(run))}" for d, run in groupby(inv.torsion)]
+    return " + ".join(parts) or "0"
 
 
 class AbelianizedGroup:
@@ -188,13 +188,7 @@ class AbelianizedGroup:
         self.snf = smith_normal_form(relation_matrix(pres))
 
     def exponent_vector(self, w: Word) -> list[int]:
-        e = [0] * len(self.pres.generators)
-        for a in w.atoms:
-            try:
-                e[self.index[strip_sign(a)]] += a.sign
-            except KeyError:
-                raise ValueError(f"atom {a} is not a generator") from None
-        return e
+        return _exponents(self.index, w.atoms, "atom")
 
     def coordinates(self, w: Word) -> tuple[int, ...]:
         e = self.exponent_vector(w)

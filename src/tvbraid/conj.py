@@ -15,7 +15,7 @@ which turns l<i>,<j>:<S> with i > j into l<j>,<i>:<{i,j} xor S>.
 from __future__ import annotations
 
 from .perms import Permutation
-from .words import ALPHABETS, Atom, Word, _atom, canonical_key, gamma
+from .words import Atom, Word, _atom, canonical_key, gamma
 
 _DECORATED = ("l", "x")
 
@@ -134,17 +134,21 @@ def expand_atom(a: Atom, n: int) -> Word:
     return Word(n, _expanded(a), check=False)
 
 
+#: Decorated alphabet -> the bar-closed alphabet its expansions live in.
+_WITH_BARS = {"DecoratedPL": "PureTwisted", "DecoratedHL": "HTwisted"}
+
+
 def expand_word(w: Word) -> Word:
+    """Each decorated pair atom replaced by ``expand_atom``'s word.  The
+    expansion adds bars, so a decorated alphabet tag widens to the
+    bar-closed one."""
     out = []
     for a in w.atoms:
         if a.kind in _DECORATED and a.deco:
             out.extend(_expanded(a))
         else:
             out.append(a)
-    if "g" not in ALPHABETS[w.alphabet]:
-        # expanding a decoration adds bars, which this alphabet rejects
-        return Word(w.n, out, w.alphabet, check=False)
-    return Word._trusted(w.n, tuple(out), w.alphabet)
+    return Word._trusted(w.n, tuple(out), _WITH_BARS.get(w.alphabet, w.alphabet))
 
 
 def check_generator_identification(n: int, kind: str = "l") -> list[str]:

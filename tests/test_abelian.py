@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -66,6 +67,46 @@ def test_permutation_invariance():
         assert smith_normal_form(P).diagonal == d
 
 
+def _abs_det(M):
+    """|det M| by exact elimination over the rationals."""
+    M = [[Fraction(x) for x in row] for row in M]
+    det = Fraction(1)
+    for k in range(len(M)):
+        p = next((i for i in range(k, len(M)) if M[i][k]), None)
+        if p is None:
+            return 0
+        M[k], M[p] = M[p], M[k]
+        det *= M[k][k]
+        for i in range(k + 1, len(M)):
+            f = M[i][k] / M[k][k]
+            M[i] = [a - f * b for a, b in zip(M[i], M[k])]
+    return abs(det)
+
+
+def _check_column_transform(M):
+    s = smith_normal_form(M)
+    V = s.right
+    assert len(V) == s.cols and all(len(row) == s.cols for row in V)
+    assert _abs_det(V) == 1, M
+    for row in M:
+        for j in range(s.rank, s.cols):
+            assert sum(a * V[k][j] for k, a in enumerate(row)) == 0, (M, j)
+
+
+def test_column_transform_is_unimodular_and_kills_the_tail():
+    assert _abs_det([[2, 1], [4, 2]]) == 0 and _abs_det([[2, 1], [1, 1]]) == 1
+    rng = random.Random(23)
+    for _ in range(300):
+        rows = rng.randint(1, 6)
+        cols = rng.randint(1, 6)
+        _check_column_transform(
+            [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
+        )
+    for family in ("tvpn", "tvhn", "hln"):
+        for n in range(1, 5):
+            _check_column_transform(relation_matrix(build_presentation(family, n)))
+
+
 FROZEN_INVARIANTS = {
     ("tvpn", 2): "Z^1 + Z_2^2",
     ("tvpn", 3): "Z^3 + Z_2^3",
@@ -81,6 +122,18 @@ FROZEN_INVARIANTS = {
     ("vpn", 4): "Z^12",
     ("an", 3): "Z_2^3",
     ("bn", 3): "Z^1",
+    # pln is free abelian of rank 2n(n-1)
+    ("pln", 2): "Z^4",
+    ("pln", 3): "Z^12",
+    ("pln", 4): "Z^24",
+    ("pln", 5): "Z^40",
+    ("pln", 6): "Z^60",
+    ("hln", 2): "Z^4",
+    ("hln", 3): "Z^1",
+    ("hln", 4): "Z^1",
+    ("hln", 5): "Z^1",
+    ("hln", 6): "Z^1",
+    ("hln", 7): "Z^1",
 }
 
 

@@ -2,17 +2,23 @@
 
 The files under tests/golden/ hold the derived relator lines of every
 kernel context at n=2..4, the representative words of every transversal
-kind at n=2..5, in the order the library produces them, and the sha256 of
+kind at n=2..5, in the order the library produces them, the sha256 of
 every stored presentation at n=1..6, and of tvpn, tvhn, pln and hln at
-n=7 as well (its text followed by its JSON).
+n=7 as well (its text followed by its JSON), and the sha256 of the Smith
+form (diagonal, rank and column transform V) of the relation matrix of
+every family at n=1..6, and of tvpn, tvhn and hln at n=7, plus one digest
+over 500 seeded random matrices up to 8x8, at most half full, with
+entries -6..6.
 """
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from tvbraid.abelian import relation_matrix, smith_normal_form
 from tvbraid.present import (
     FAMILIES,
     build_presentation,
@@ -60,3 +66,41 @@ def test_presentation_digests():
         pres = build_presentation(family, n)
         data = presentation_text(pres) + json.dumps(presentation_dict(pres))
         assert hashlib.sha256(data.encode()).hexdigest() == digest, (family, n)
+
+
+def _smith_digest(matrices):
+    h = hashlib.sha256()
+    for m in matrices:
+        s = smith_normal_form(m)
+        h.update(json.dumps([s.diagonal, s.rank, s.right]).encode())
+    return h.hexdigest()
+
+
+def _random_matrices(count=500, seed=31):
+    """Small matrices, up to half full: non-unit pivots, zero rows and
+    columns, and diagonals that need the divisibility pass.  Fuller ones
+    can drive the entries of this pivot rule to millions of digits."""
+    rng = random.Random(seed)
+
+    def entry(density):
+        return rng.randint(-6, 6) if rng.random() < density else 0
+
+    out = []
+    for _ in range(count):
+        rows, cols, density = rng.randint(1, 8), rng.randint(1, 8), rng.random() / 2
+        out.append([[entry(density) for _ in range(cols)] for _ in range(rows)])
+    return out
+
+
+def test_smith_digests():
+    want = {}
+    for line in _golden("smith.txt"):
+        family, n, digest = line.split()
+        want[family, int(n)] = digest
+    assert set(want) == {(f, n) for f in FAMILIES for n in range(1, 7)} | {
+        (f, 7) for f in ("tvpn", "tvhn", "hln")
+    } | {("random", 500)}
+    assert _smith_digest(_random_matrices()) == want.pop(("random", 500))
+    for (family, n), digest in want.items():
+        matrix = relation_matrix(build_presentation(family, n))
+        assert _smith_digest([matrix]) == digest, (family, n)

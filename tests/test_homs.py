@@ -9,7 +9,8 @@ from tvbraid.homs import (
 )
 from tvbraid.perms import Permutation, format_element
 from tvbraid.present import generator_expression
-from tvbraid.words import format_word, lam, parse_word, sigma, xgen
+from tvbraid.rs import derive_relators, make_context
+from tvbraid.words import Word, format_word, lam, parse_word, sigma, xgen
 
 
 def test_all_maps_well_defined():
@@ -101,6 +102,20 @@ def test_decorated_sources_expand():
     h = make_hom("psiP", 3)
     assert format_element(image(h, parse_word("l1,2:1", 3))) == "[0,0,0]"
     assert format_element(image(h, parse_word("g1 l1,2 g2", 3))) == "[1,1,0]"
+
+
+def test_decorated_alphabets_expand_with_bars():
+    # expanding a decoration adds bars, so the word leaves DecoratedPL/HL
+    for name, pair, alphabet in (
+        ("psiP", lam, "DecoratedPL"),
+        ("psiH", xgen, "DecoratedHL"),
+    ):
+        w = Word(3, [pair(1, 2, (1,))], alphabet)
+        assert format_element(image(make_hom(name, 3), w)) == "[0,0,0]"
+    h = make_hom("psiP", 3)
+    derived = derive_relators(make_context("pl", 3))
+    assert derived and {d.word.alphabet for d in derived} == {"DecoratedPL"}
+    assert all(image(h, d.word).is_identity() for d in derived)
 
 
 def test_rank_mismatch():
