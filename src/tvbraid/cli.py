@@ -28,21 +28,20 @@ from .words import ParseError, format_word, parse_word, reduce
 
 def _parse_n(text: str) -> list[int]:
     """Accept a single rank like "3" or an inclusive range like "2..4"."""
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        start, stop = int(lo), int(hi)
-        if start > stop or start < 1:
-            raise ValueError(f"bad rank range {text!r}")
-        return list(range(start, stop + 1))
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"bad rank {text!r}")
-    return [value]
+    lo, dots, hi = text.partition("..")
+    error = argparse.ArgumentTypeError(f"bad rank{' range' if dots else ''} {text!r}")
+    try:
+        start, stop = int(lo), int(hi if dots else lo)
+    except ValueError:
+        raise error from None
+    if start > stop or start < 1:
+        raise error
+    return list(range(start, stop + 1))
 
 
 def _parse_n_single(text: str) -> list[int]:
     if ".." in text:
-        raise ValueError("rank ranges are only accepted by verify")
+        raise argparse.ArgumentTypeError("rank ranges are only accepted by verify")
     return _parse_n(text)
 
 

@@ -7,10 +7,12 @@ are decoded from the quotient element, never tabulated for rewriting.
 Kernel words are rewritten letter by letter: the letter at position p,
 conjugated back by the representative of the walked prefix, classifies to
 a named subgroup generator or to nothing, and the collected atoms form the
-subgroup word.  Each (coset, letter) cell of that walk is classified once
-per context and then read back.  Running every ambient relator through the
-rewrite, conjugated by every representative, derives a presentation of the
-kernel.
+subgroup word.  A context numbers each coset the first time a walk reaches
+it and classifies each (coset id, letter) cell once, then reads it back.
+The kernel presentation comes from walking every ambient relator from the
+coset of every representative t: that walk yields the atoms of the rewrite
+of t r t^-1, since the letters of a Schreier representative classify to
+nothing.
 
 Context names and their kernels:
 
@@ -24,7 +26,6 @@ Context names and their kernels:
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import factorial
@@ -176,12 +177,19 @@ class RSContext:
     transversal: Transversal
     sub_alphabet: str
     registry_family: str | None
-    #: (coset element, signed letter) -> (next element, classified atom or
-    #: None), filled the first time a walk visits the cell
-    cells: dict = field(default_factory=dict, repr=False, compare=False)
-    #: atoms -> derived relator word, so that every derivation on this
-    #: context hands out one shared Word per relator, like its shared id
-    relator_words: dict = field(default_factory=dict, repr=False, compare=False)
+    #: coset id -> quotient element; ids are handed out in the order walks
+    #: first reach the cosets
+    elements: list = field(default_factory=list, repr=False, compare=False)
+    #: quotient element -> coset id
+    ids: dict = field(default_factory=dict, repr=False, compare=False)
+    #: coset id -> {signed letter: (next coset id, classified atom or None)},
+    #: each cell filled the first time a walk visits it
+    rows: list = field(default_factory=list, repr=False, compare=False)
+    #: coset ids of the transversal words, in their order, once derived
+    rep_ids: list | None = field(default=None, repr=False, compare=False)
+    #: atoms -> derived relator, so that every derivation on this context
+    #: hands out the same relator objects
+    relators: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def make_context(name: str, n: int) -> RSContext:
@@ -259,16 +267,27 @@ def _classify_element(ctx: RSContext, el, a: Atom):
     raise ClassifyError(f"no generator for column ({format_word(t)!r}, {a})")
 
 
-def _cell(ctx: RSContext, cur, a: Atom):
-    """Coset after the letter a from the coset cur, and the letter's
+def _coset_id(ctx: RSContext, el) -> int:
+    """Id of the coset of the quotient element el, new ids counting up."""
+    i = ctx.ids.get(el)
+    if i is None:
+        i = ctx.ids[el] = len(ctx.elements)
+        ctx.elements.append(el)
+        ctx.rows.append({})
+    return i
+
+
+def _cell(ctx: RSContext, cur: int, a: Atom):
+    """Coset id after the letter a from the coset cur, and the letter's
     classified atom: a positive letter is classified at the coset before
     it, a negative one at the coset after it, and the atom inherits the
     letter's sign."""
-    nxt = cur * _raw_image(ctx.hom, Word._trusted(ctx.n, (a,)))
-    c = _classify_element(ctx, cur if a.sign == 1 else nxt, strip_sign(a))
+    el = ctx.elements[cur]
+    nxt = el * _raw_image(ctx.hom, Word._trusted(ctx.n, (a,)))
+    c = _classify_element(ctx, el if a.sign == 1 else nxt, strip_sign(a))
     if c is not None and a.sign == -1:
         c = c.inverse()
-    return nxt, c
+    return _coset_id(ctx, nxt), c
 
 
 @dataclass
@@ -277,39 +296,48 @@ class RewriteResult:
     raw: Word
 
 
-def rewrite_tau(ctx: RSContext, u: Word) -> RewriteResult:
+def rewrite_tau(ctx: RSContext, u: Word, start: int | None = None) -> RewriteResult:
     """Rewrite a kernel word into subgroup generators.
 
-    Walks u letter by letter through the context's coset cells, carrying
-    the quotient image of the prefix.  The result keeps the raw atom
-    sequence alongside the freely reduced word, so squares of involution
-    generators survive.
+    Walks u letter by letter through the context's coset cells from the
+    coset id start, by default the identity's.  The result keeps the raw
+    atom sequence alongside the freely reduced word, so squares of
+    involution generators survive.
 
-    Raises ValueError when u is not in the kernel, that is when the walk
-    does not end at the identity.
+    Raises ValueError when the walk does not end at its start coset: from
+    the identity, when u is not in the kernel.
     """
     if u.n != ctx.n:
         raise ValueError(f"rank mismatch: word has {u.n}, context has {ctx.n}")
-    cells = ctx.cells
-    cur = ctx.hom.identity
+    if start is None:
+        start = _coset_id(ctx, ctx.hom.identity)
+    rows = ctx.rows
+    cur = start
     out: list[Atom] = []
     for a in u.atoms:
-        cell = cells.get((cur, a))
+        row = rows[cur]
+        cell = row.get(a)
         if cell is None:
-            cell = cells[cur, a] = _cell(ctx, cur, a)
+            cell = row[a] = _cell(ctx, cur, a)
         cur, c = cell
         if c is not None:
             out.append(c)
-    if not cur.is_identity():
+    if cur != start:
+        el = ctx.elements[cur]
+        if ctx.elements[start].is_identity():
+            raise ValueError(
+                f"word is not in the {ctx.name} kernel; quotient image "
+                f"{format_element(el)}"
+            )
         raise ValueError(
-            f"word is not in the {ctx.name} kernel; quotient image "
-            f"{format_element(cur)}"
+            f"walk from coset {format_element(ctx.elements[start])} ends at "
+            f"coset {format_element(el)}"
         )
     raw = Word._trusted(ctx.n, tuple(out), ctx.sub_alphabet)
     return RewriteResult(free_reduce(raw), raw)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class DerivedRelator:
     rid: str
     word: Word
@@ -324,27 +352,28 @@ class DerivedRelator:
 
 
 def derive_relators(ctx: RSContext) -> list[DerivedRelator]:
-    """Presentation relators of the kernel: every ambient relator,
-    conjugated by every representative, rewritten and deduplicated up to
-    the cyclic class key.  Empty rewrites are dropped; each survivor keeps
-    its ambient relator and conjugator for auditing."""
+    """Presentation relators of the kernel: every ambient relator r,
+    conjugated by every representative t, rewritten and deduplicated up to
+    the cyclic class key.  The rewrite of t r t^-1 is that of r walked from
+    the coset of t.  Empty rewrites are dropped; each survivor keeps its
+    ambient relator and conjugator for auditing."""
+    tr = ctx.transversal
+    if ctx.rep_ids is None:
+        ctx.rep_ids = [_coset_id(ctx, el) for el in tr.order]
+    reps = tr.words()
     out: list[DerivedRelator] = []
     seen = set()
-    reps = ctx.transversal.words()
     for r in ctx.ambient.relators:
-        for t in reps:
-            u = Word._trusted(
-                ctx.n, t.atoms + r.word.atoms + _raw_invert_atoms(t.atoms)
-            )
-            w = rewrite_tau(ctx, u).word
+        for t, c in zip(reps, ctx.rep_ids):
+            w = rewrite_tau(ctx, r.word, start=c).word
             if not w.atoms:
                 continue
             key = canonical_key(w)
             if key in seen:
                 continue
             seen.add(key)
-            w = ctx.relator_words.setdefault(w.atoms, w)
-            out.append(DerivedRelator(sys.intern(f"d{len(out) + 1}"), w, r.rid, t))
+            d = DerivedRelator(f"d{len(out) + 1}", w, r.rid, t)
+            out.append(ctx.relators.setdefault(w.atoms, d))
     return out
 
 

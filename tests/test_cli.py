@@ -112,6 +112,20 @@ def test_usage_error_exit(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("rewrite", "--into", "tvp", "-n", "2..4", "s1"), "rank ranges are only accepted by verify"),
+        (("verify", "--all", "-n", "4..2"), "bad rank range '4..2'"),
+        (("normalize", "-n", "0", "s1"), "bad rank '0'"),
+    ],
+)
+def test_rank_errors_keep_their_message(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.endswith(f"error: argument -n: {message}\n")
+
+
 def test_verify_single_check(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--check", "abelian-invariants", "-n", "2"

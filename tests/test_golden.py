@@ -1,7 +1,8 @@
 """Byte-for-byte comparison with frozen rewriting output.
 
 The files under tests/golden/ hold the derived relator lines of every
-kernel context at n=2..4, the representative words of every transversal
+kernel context at n=2..4 and the sha256 of those lines, joined by
+newlines, at n=5, the representative words of every transversal
 kind at n=2..5, in the order the library produces them, the sha256 of
 every stored presentation at n=1..6, and of tvpn, tvhn, pln and hln at
 n=7 as well (its text followed by its JSON), and the sha256 of the Smith
@@ -43,6 +44,17 @@ def test_derived_relator_lines(name):
     for n in (2, 3, 4):
         lines = [d.line() for d in derive_relators(make_context(name, n))]
         assert lines == _golden(f"derived_{name}_{n}.txt"), (name, n)
+
+
+def test_derived_relator_digests():
+    want = {}
+    for line in _golden("derived_n5.txt"):
+        name, n, digest = line.split()
+        want[name, int(n)] = digest
+    assert set(want) == {(name, 5) for name in KERNEL_TABLE}
+    for (name, n), digest in want.items():
+        lines = [d.line() for d in derive_relators(make_context(name, n))]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest, name
 
 
 @pytest.mark.parametrize("kind", sorted(KIND_CONTEXT))

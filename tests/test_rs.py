@@ -11,6 +11,7 @@ from tvbraid.present import build_presentation, generator_expression
 from tvbraid.rs import (
     ClassifyError,
     KERNEL_TABLE,
+    _coset_id,
     classify,
     derive_relators,
     make_context,
@@ -22,6 +23,7 @@ from tvbraid.rs import (
 from tvbraid.words import (
     Atom,
     Word,
+    _raw_invert_atoms,
     canonical_key,
     format_word,
     free_reduce,
@@ -211,15 +213,43 @@ def test_repeated_derivation_shares_ids_and_words():
     ctx = make_context("pl", 3)
     first, again = derive_relators(ctx), derive_relators(ctx)
     assert [d.line() for d in first] == [d.line() for d in again]
-    assert all(a.rid is b.rid and a.word is b.word for a, b in zip(first, again))
+    assert all(a is b for a, b in zip(first, again))
+
+
+#: (context, registry family, ranks); pt and ht are the kernels of
+#: TVB_n onto the signed permutations, PL_n and HL_n by TVB_n = TVP_n x| S_n
+#: and TVP_n = PL_n x| Z_2^n (likewise for H)
+REGISTRY_MATCHES = [
+    ("tvp", "tvpn", (3, 4, 5)),
+    ("tvh", "tvhn", (3, 4, 5)),
+    ("pl", "pln", (3, 4, 5)),
+    ("hl", "hln", (3, 4, 5)),
+    ("pt", "pln", (2, 3, 4)),
+    ("ht", "hln", (2, 3, 4)),
+]
 
 
 def test_derived_matches_registry():
-    for name in ("tvp", "tvh", "pl", "hl"):
-        ctx = make_context(name, 3)
-        derived = {canonical_key(d.word) for d in derive_relators(ctx)}
-        registry = set(build_presentation(ctx.registry_family, 3).relator_keys())
-        assert derived == registry, name
+    for name, family, ranks in REGISTRY_MATCHES:
+        for n in ranks:
+            ctx = make_context(name, n)
+            derived = {canonical_key(d.word) for d in derive_relators(ctx)}
+            registry = set(build_presentation(family, n).relator_keys())
+            assert derived == registry, (name, n)
+
+
+def test_relator_walk_from_start_coset_is_conjugate_rewrite():
+    """Walking r from the coset of t gives the raw atoms of t r t^-1: the
+    letters of a Schreier representative classify to nothing."""
+    for name in sorted(KERNEL_TABLE):
+        for n in (2, 3, 4):
+            ctx = make_context(name, n)
+            for t in ctx.transversal.words():
+                start = _coset_id(ctx, _raw_image(ctx.hom, t))
+                for r in ctx.ambient.relators:
+                    conj = Word(n, t.atoms + r.word.atoms + _raw_invert_atoms(t.atoms))
+                    got = rewrite_tau(ctx, r.word, start=start).raw
+                    assert got == rewrite_tau(ctx, conj).raw, (name, n, r.rid, t)
 
 
 def test_derived_relator_lines():
@@ -335,6 +365,10 @@ def test_failed_rewrite_keeps_context_usable():
     for name, n, text, expect in FROZEN_TAU:
         if (name, n) == ("tvp", 3):
             assert format_word(rewrite_tau(ctx, parse_word(text, n)).word) == expect
+    start = _coset_id(ctx, _raw_image(ctx.hom, parse_word("r1", 3)))
+    with pytest.raises(ValueError, match=r"walk from coset \[2,1,3\] ends at coset \[3,1,2\]$"):
+        rewrite_tau(ctx, parse_word("s2", 3), start=start)
+    assert rewrite_tau(ctx, parse_word("s2 s2^-1", 3), start=start).word.atoms == ()
     fresh = make_context("tvp", 3)
     u = parse_word("s1 r2 s2 s2^-1 r2 s1^-1", 3)
     assert rewrite_tau(ctx, u) == rewrite_tau(fresh, u)
