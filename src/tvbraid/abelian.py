@@ -15,7 +15,7 @@ from math import gcd
 
 from .perms import strip_sign
 from .present import Presentation
-from .words import Word
+from .words import Word, format_atom
 
 
 def _exponents(index, atoms, what) -> list[int]:
@@ -24,7 +24,7 @@ def _exponents(index, atoms, what) -> list[int]:
         try:
             e[index[strip_sign(a)]] += a.sign
         except KeyError:
-            raise ValueError(f"{what} {a} is not a generator") from None
+            raise ValueError(f"{what} {format_atom(a)} is not a generator") from None
     return e
 
 

@@ -83,14 +83,12 @@ def normalize_decorated(w: Word) -> Word:
         else:
             raise ValueError(f"cannot normalize kind {a.kind!r}")
     out.extend(gamma(k) for k in sorted(pending))
-    return Word._trusted(w.n, tuple(out), w.alphabet)
+    return Word._trusted(w.n, tuple(out))
 
 
 def conjugate_by_bars(ks, w: Word) -> Word:
     """Conjugate a bar-free decorated word by the bar set, atom by atom."""
-    return Word._trusted(
-        w.n, tuple(act_gamma_set(ks, a) for a in w.atoms), w.alphabet
-    )
+    return Word._trusted(w.n, tuple(act_gamma_set(ks, a) for a in w.atoms))
 
 
 def _bar_subsets(w: Word):
@@ -131,24 +129,18 @@ def expand_atom(a: Atom, n: int) -> Word:
     descending conjugator bars, the bare pair atom, ascending bars."""
     if a.kind not in _DECORATED:
         raise ValueError(f"expand_atom is for pair atoms, got {a.kind!r}")
-    return Word(n, _expanded(a), check=False)
-
-
-#: Decorated alphabet -> the bar-closed alphabet its expansions live in.
-_WITH_BARS = {"DecoratedPL": "PureTwisted", "DecoratedHL": "HTwisted"}
+    return Word(n, _expanded(a))
 
 
 def expand_word(w: Word) -> Word:
-    """Each decorated pair atom replaced by ``expand_atom``'s word.  The
-    expansion adds bars, so a decorated alphabet tag widens to the
-    bar-closed one."""
+    """Each decorated pair atom replaced by ``expand_atom``'s word."""
     out = []
     for a in w.atoms:
         if a.kind in _DECORATED and a.deco:
             out.extend(_expanded(a))
         else:
             out.append(a)
-    return Word._trusted(w.n, tuple(out), _WITH_BARS.get(w.alphabet, w.alphabet))
+    return Word._trusted(w.n, tuple(out))
 
 
 def check_generator_identification(n: int, kind: str = "l") -> list[str]:

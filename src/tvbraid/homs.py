@@ -23,6 +23,7 @@ from .words import (
     Atom,
     Word,
     _atom,
+    format_atom,
     format_word,
     free_reduce,
     gamma,
@@ -43,15 +44,6 @@ HOM_TABLE = {
     "psiH": ("tvhn", "flip"),
     "plToVp": ("pln", "vpn"),
 }
-
-SOURCE_ALPHABET = {
-    "tvbn": "Ambient",
-    "tvpn": "PureTwisted",
-    "tvhn": "HTwisted",
-    "pln": "DecoratedPL",
-    "hln": "DecoratedHL",
-}
-
 
 class Homomorphism:
     """A generator-image table with a memoized well-definedness verdict."""
@@ -78,7 +70,9 @@ class Homomorphism:
     def replace_image(self, atom: Atom, value) -> "Homomorphism":
         """Copy with one generator image overridden; the copy is unverified."""
         if strip_sign(atom) not in self.images:
-            raise ValueError(f"{atom} is not a generator of {self.source_family}")
+            raise ValueError(
+                f"{format_atom(atom)} is not a generator of {self.source_family}"
+            )
         images = dict(self.images)
         images[strip_sign(atom)] = value
         return Homomorphism(
@@ -163,7 +157,7 @@ def _eval_symbolic(h: Homomorphism, w: Word) -> Word:
             img = h.images[strip_sign(a)]
         except KeyError:
             raise ValueError(
-                f"atom {a} is not a generator of {h.source_family}"
+                f"atom {format_atom(a)} is not a generator of {h.source_family}"
             ) from None
         atoms.extend(img.atoms if a.sign == 1 else invert(img).atoms)
     return free_reduce(Word._trusted(w.n, tuple(atoms)))
@@ -179,7 +173,7 @@ def _raw_image(h: Homomorphism, w: Word):
             return eval_word(w, h.images, h.identity)
         except KeyError as exc:
             raise ValueError(
-                f"atom not in the domain of {h.name}: {exc.args[0]}"
+                f"atom not in the domain of {h.name}: {format_atom(exc.args[0])}"
             ) from None
     return _eval_symbolic(h, w)
 

@@ -328,7 +328,7 @@ def generator_expression(a: Atom, n: int, family: str, target: str = "ambient") 
         core = generator_expression(
             _atom(a.kind, a.i, a.j, (), a.sign), n, family, "ambient"
         )
-        return Word(n, tuple(reversed(bars)) + core.atoms + tuple(bars), check=False)
+        return Word(n, tuple(reversed(bars)) + core.atoms + tuple(bars))
     i, j = (a.i, a.j) if a.i < a.j else (a.j, a.i)
     if style == "signed":
         base = [rho(i), sigma(i, -1)] if a.i < a.j else [sigma(i, -1), rho(i)]
@@ -380,7 +380,7 @@ def eliminate_generators(pres: Presentation, removals: dict[Atom, Word]) -> Pres
         if not touched:
             out.append((r.rid, r.word))
             continue
-        w = reduce(Word(pres.n, atoms, check=False))
+        w = reduce(Word(pres.n, atoms))
         if w.atoms:
             out.append((r.rid, w))
     return Presentation(f"{pres.family}-reduced", pres.n, gens, _dedup(out))
@@ -447,7 +447,7 @@ _PL_COMM_DECOS = [
 def _table_atom(pair_name, deco_name, env) -> Atom:
     i, j = env[pair_name[0]], env[pair_name[1]]
     deco = tuple(sorted(env[c] for c in deco_name))
-    return lam(i, j, deco, check=False)
+    return _atom("l", i, j, deco)
 
 
 def transcribed_pl_table(n: int) -> list[tuple[str, Word]]:

@@ -46,6 +46,7 @@ from .words import (
     _atom,
     _raw_invert_atoms,
     canonical_key,
+    format_atom,
     format_word,
     free_reduce,
     gamma,
@@ -93,7 +94,6 @@ class Transversal:
         self.name = name
         self.n = n
         self._type = _ELEMENT_TYPES[name]
-        self._alphabet = "Mixed" if name == "bars" else "Ambient"
         self._rho = [None] + [rho(i) for i in range(1, n)]
         self._gamma = [None] + [gamma(k) for k in range(1, n + 1)]
 
@@ -113,10 +113,10 @@ class Transversal:
                 f"element {format_element(el)} has no coset representative"
             )
         if self.name == "perm":
-            return Word._trusted(self.n, tuple(self._crossings(el.images)), "Ambient")
+            return Word._trusted(self.n, tuple(self._crossings(el.images)))
         atoms = [] if self.name == "bars" else self._crossings(el.perm.images)
         atoms += [self._gamma[k] for k in _bars(el)]
-        return Word._trusted(self.n, tuple(atoms), self._alphabet)
+        return Word._trusted(self.n, tuple(atoms))
 
     @cached_property
     def order(self) -> list:
@@ -157,14 +157,15 @@ class Transversal:
 
 
 #: context -> (ambient family, quotient map, transversal kind,
-#:             subgroup alphabet, registry family or None)
+#:             registry family or None); the subgroup generators a context
+#:             rewrites into follow from its name, in _classify_element
 KERNEL_TABLE = {
-    "tvp": ("tvbn", "phiP", "perm", "PureTwisted", "tvpn"),
-    "tvh": ("tvbn", "phiH", "perm", "HTwisted", "tvhn"),
-    "pt": ("tvbn", "phiPT", "perm-bars", "DecoratedPL", None),
-    "ht": ("tvbn", "phiHT", "perm-bars", "DecoratedHL", None),
-    "pl": ("tvpn", "psiP", "bars", "DecoratedPL", "pln"),
-    "hl": ("tvhn", "psiH", "bars", "DecoratedHL", "hln"),
+    "tvp": ("tvbn", "phiP", "perm", "tvpn"),
+    "tvh": ("tvbn", "phiH", "perm", "tvhn"),
+    "pt": ("tvbn", "phiPT", "perm-bars", None),
+    "ht": ("tvbn", "phiHT", "perm-bars", None),
+    "pl": ("tvpn", "psiP", "bars", "pln"),
+    "hl": ("tvhn", "psiH", "bars", "hln"),
 }
 
 
@@ -175,7 +176,6 @@ class RSContext:
     ambient: Presentation
     hom: Homomorphism
     transversal: Transversal
-    sub_alphabet: str
     registry_family: str | None
     #: coset id -> quotient element; ids are handed out in the order walks
     #: first reach the cosets
@@ -195,14 +195,13 @@ class RSContext:
 def make_context(name: str, n: int) -> RSContext:
     if name not in KERNEL_TABLE:
         raise ValueError(f"unknown kernel {name!r}; known: {', '.join(KERNEL_TABLE)}")
-    ambient_family, hom_name, tkind, alphabet, registry = KERNEL_TABLE[name]
+    ambient_family, hom_name, tkind, registry = KERNEL_TABLE[name]
     return RSContext(
         name,
         n,
         build_presentation(ambient_family, n),
         make_hom(hom_name, n),
         Transversal(tkind, n),
-        alphabet,
         registry,
     )
 
@@ -214,9 +213,9 @@ def representative(ctx: RSContext, w: Word) -> Word:
 
 def schreier_generator(ctx: RSContext, t: Word, a: Atom) -> Word:
     """The word t a (representative of t a)^-1, fully reduced."""
-    ta = Word(ctx.n, t.atoms + (a,), check=False)
+    ta = Word(ctx.n, t.atoms + (a,))
     rep = representative(ctx, ta)
-    return reduce(Word(ctx.n, ta.atoms + _raw_invert_atoms(rep.atoms), check=False))
+    return reduce(Word(ctx.n, ta.atoms + _raw_invert_atoms(rep.atoms)))
 
 
 def classify(ctx: RSContext, t: Word, a: Atom):
@@ -264,7 +263,9 @@ def _classify_element(ctx: RSContext, el, a: Atom):
         if kind == expected:
             return act_gamma_set(_bars(el), canonicalize_atom(a))
     t = ctx.transversal.lookup(el)
-    raise ClassifyError(f"no generator for column ({format_word(t)!r}, {a})")
+    raise ClassifyError(
+        f"no generator for column ({format_word(t)!r}, {format_atom(a)})"
+    )
 
 
 def _coset_id(ctx: RSContext, el) -> int:
@@ -333,7 +334,7 @@ def rewrite_tau(ctx: RSContext, u: Word, start: int | None = None) -> RewriteRes
             f"walk from coset {format_element(ctx.elements[start])} ends at "
             f"coset {format_element(el)}"
         )
-    raw = Word._trusted(ctx.n, tuple(out), ctx.sub_alphabet)
+    raw = Word._trusted(ctx.n, tuple(out))
     return RewriteResult(free_reduce(raw), raw)
 
 

@@ -268,7 +268,7 @@ def _random_word(rng, n, alphabet_atoms, max_len=24):
         if a.kind in ("s", "l", "x") and rng.random() < 0.5:
             a = a.inverse()
         atoms.append(a)
-    return Word(n, atoms, check=False)
+    return Word(n, atoms)
 
 
 def _source_atoms(family, n):
@@ -322,7 +322,7 @@ def _check_bar_conjugation(n: int, seed: int):
             for k in range(1, n + 1):
                 expect = act_gamma(k, g)
                 exp = generator_expression(g, n, fam)
-                u = Word(n, (gamma(k),) + exp.atoms + (gamma(k),), check=False)
+                u = Word(n, (gamma(k),) + exp.atoms + (gamma(k),))
                 got = rewrite_tau(ctx, u).word
                 if len(got.atoms) != 1 or got.atoms[0] != expect:
                     return False, (

@@ -11,8 +11,9 @@ occurrence of one of five kinds:
 
 The l and x kinds may carry a decoration suffix naming a set of bar
 conjugators, e.g. ``l1,2:12`` is the pair generator conjugated by g1 g2.
-Decoration digits are read one index per character; indices above 9 must be
-comma separated (``l10,11:10,11``).  An inverse is written with a trailing
+Decoration digits are read one index per character; a decoration with an
+index above 9 is comma separated, and a one-index one ends in a comma
+(``l10,11:10,11``, ``l1,11:11,``).  An inverse is written with a trailing
 ``^-1``.  Atoms are space separated and the empty string is the empty word.
 
 r and g atoms are involutions, so their sign is folded to +1 on
@@ -23,10 +24,12 @@ keeps squares such as ``g1 g1`` intact.  ``reduce`` additionally cancels
 adjacent equal involution atoms and is the normal form for ambient
 computation.
 
-Input is validated at the boundary: ``parse_word`` and the public ``Atom``
-and ``Word`` constructors check everything.  Atoms the library builds come
-from one table that validates each value the first time it is seen, and
-words derived from already checked words skip the checks.
+A word is its rank and its atoms.  Input is validated at the boundary:
+``parse_word`` and the public ``Atom`` and ``Word`` constructors check
+everything, including that the atoms lie in a named alphabet, which is
+checked and not stored.  Atoms the library builds come from one table that
+validates each value the first time it is seen, and words derived from
+already checked words skip the checks.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ _INVOLUTION = frozenset("rg")
 _PAIRED = frozenset("lx")
 _KIND_ORDER = {"g": 0, "r": 1, "s": 2, "l": 3, "x": 4}
 
-#: Alphabet tag -> atom kinds the tag admits.
+#: Alphabet name -> atom kinds it admits, for the checks of Word.
 ALPHABETS = {
     "Ambient": frozenset("srg"),
     "PureTwisted": frozenset("lg"),
@@ -132,38 +135,34 @@ def gamma(i: int) -> Atom:
     return _atom("g", i)
 
 
-def _pair_atom(kind: str, i: int, j: int, deco, sign: int, check: bool) -> Atom:
+def _pair_atom(kind: str, i: int, j: int, deco, sign: int) -> Atom:
     deco = tuple(sorted(set(deco)))
-    if check and any(d not in (i, j) for d in deco):
+    if any(d not in (i, j) for d in deco):
         raise ValueError(f"decoration {deco} not a subset of {{{i}, {j}}}")
     return _atom(kind, i, j, deco, sign)
 
 
-def lam(i: int, j: int, deco=(), sign: int = 1, check: bool = True) -> Atom:
-    """Pair generator l<i>,<j>, optionally decorated.
-
-    With check=True (the default) the decoration must name a subset of
-    {i, j}; check=False admits any indices, which transcriptions of
-    externally printed relator tables need.
-    """
-    return _pair_atom("l", i, j, deco, sign, check)
+def lam(i: int, j: int, deco=(), sign: int = 1) -> Atom:
+    """Pair generator l<i>,<j>, optionally decorated by a subset of {i, j}."""
+    return _pair_atom("l", i, j, deco, sign)
 
 
-def xgen(i: int, j: int, deco=(), sign: int = 1, check: bool = True) -> Atom:
+def xgen(i: int, j: int, deco=(), sign: int = 1) -> Atom:
     """Pair generator x<i>,<j>; arguments as for ``lam``."""
-    return _pair_atom("x", i, j, deco, sign, check)
+    return _pair_atom("x", i, j, deco, sign)
 
 
 class Word:
-    """Immutable atom sequence with a rank and an alphabet tag.
+    """Immutable atom sequence: a word is its rank and its atoms.
 
-    Equality and hashing ignore the alphabet tag: the tag is a validation
-    gate at construction time, not part of the group element's identity.
+    The constructor checks the atoms against the rank and the named
+    alphabet, and that each decoration lies inside its pair.  The alphabet
+    is checked, not stored.
     """
 
-    __slots__ = ("n", "atoms", "alphabet")
+    __slots__ = ("n", "atoms")
 
-    def __init__(self, n: int, atoms=(), alphabet: str = "Mixed", check: bool = True):
+    def __init__(self, n: int, atoms=(), alphabet: str = "Mixed"):
         if alphabet not in ALPHABETS:
             raise ValueError(f"unknown alphabet tag {alphabet!r}")
         if n < 1:
@@ -180,20 +179,18 @@ class Word:
                 raise ParseError(f"strand index out of range for rank {n}")
             if any(d > n for d in a.deco):
                 raise ParseError(f"decoration index out of range for rank {n}")
-            if check and a.kind in _PAIRED and any(d not in (a.i, a.j) for d in a.deco):
+            if a.kind in _PAIRED and any(d not in (a.i, a.j) for d in a.deco):
                 raise ParseError(f"decoration {a.deco} not within pair ({a.i}, {a.j})")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "alphabet", alphabet)
 
     @classmethod
-    def _trusted(cls, n: int, atoms: tuple, alphabet: str = "Mixed") -> "Word":
+    def _trusted(cls, n: int, atoms: tuple) -> "Word":
         """Word without checks, for a tuple of atoms already valid for rank
-        n and the alphabet: atoms of checked words or built by the library."""
+        n: atoms of checked words or built by the library."""
         w = object.__new__(cls)
         object.__setattr__(w, "n", n)
         object.__setattr__(w, "atoms", atoms)
-        object.__setattr__(w, "alphabet", alphabet)
         return w
 
     def __setattr__(self, name, value):
@@ -220,14 +217,6 @@ class Word:
         return f"Word({format_word(self)!r}, n={self.n})"
 
 
-def join_alphabets(a: str, b: str) -> str:
-    if ALPHABETS[b] <= ALPHABETS[a]:
-        return a
-    if ALPHABETS[a] <= ALPHABETS[b]:
-        return b
-    return "Mixed"
-
-
 _TOKEN = re.compile(
     r"(?P<kind>[srglx])(?P<i>\d+)(?:,(?P<j>\d+))?(?::(?P<deco>[\d,]+))?(?:\^(?P<sign>-1))?\Z"
 )
@@ -235,7 +224,7 @@ _TOKEN = re.compile(
 
 def _parse_deco(text: str) -> tuple[int, ...]:
     if "," in text:
-        parts = text.split(",")
+        parts = text.removesuffix(",").split(",")
     else:
         parts = list(text)
     if any(not p.isdigit() for p in parts):
@@ -243,7 +232,7 @@ def _parse_deco(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
-def parse_word(text: str, n: int, alphabet: str = "Mixed", check: bool = True) -> Word:
+def parse_word(text: str, n: int, alphabet: str = "Mixed") -> Word:
     """Parse space-separated atom tokens into a Word of the given rank."""
     atoms = []
     for tok in text.split():
@@ -262,7 +251,7 @@ def parse_word(text: str, n: int, alphabet: str = "Mixed", check: bool = True) -
         except ValueError as exc:
             raise ParseError(f"bad token {tok!r}: {exc}") from None
     try:
-        return Word(n, atoms, alphabet, check=check)
+        return Word(n, atoms, alphabet)
     except ParseError:
         raise
     except ValueError as exc:
@@ -274,10 +263,10 @@ def format_atom(a: Atom) -> str:
     if a.j is not None:
         out += f",{a.j}"
     if a.deco:
-        if all(d <= 9 for d in a.deco):
+        if a.deco[-1] <= 9:
             out += ":" + "".join(str(d) for d in a.deco)
         else:
-            out += ":" + ",".join(str(d) for d in a.deco)
+            out += ":" + ",".join(str(d) for d in a.deco) + "," * (len(a.deco) == 1)
     if a.sign == -1:
         out += "^-1"
     return out
@@ -307,13 +296,13 @@ def _cancel(atoms, involutions: bool):
 
 def free_reduce(w: Word) -> Word:
     """Cancel adjacent inverse pairs of s, l, x atoms only."""
-    return Word._trusted(w.n, _cancel(w.atoms, False), w.alphabet)
+    return Word._trusted(w.n, _cancel(w.atoms, False))
 
 
 def reduce(w: Word) -> Word:
     """Full normal form: free reduction plus cancellation of adjacent equal
     involution atoms (r r, g g), iterated to a fixpoint in one stack pass."""
-    return Word._trusted(w.n, _cancel(w.atoms, True), w.alphabet)
+    return Word._trusted(w.n, _cancel(w.atoms, True))
 
 
 def _raw_invert_atoms(atoms) -> tuple:
@@ -322,15 +311,13 @@ def _raw_invert_atoms(atoms) -> tuple:
 
 def invert(w: Word) -> Word:
     """Group inverse: reversed sequence with signs flipped, then reduced."""
-    return Word._trusted(w.n, _cancel(_raw_invert_atoms(w.atoms), True), w.alphabet)
+    return Word._trusted(w.n, _cancel(_raw_invert_atoms(w.atoms), True))
 
 
 def concat(u: Word, v: Word) -> Word:
     if u.n != v.n:
         raise ValueError(f"rank mismatch: {u.n} vs {v.n}")
-    return Word._trusted(
-        u.n, u.atoms + v.atoms, join_alphabets(u.alphabet, v.alphabet)
-    )
+    return Word._trusted(u.n, u.atoms + v.atoms)
 
 
 def conjugate(w: Word, a: Word) -> Word:
@@ -338,11 +325,7 @@ def conjugate(w: Word, a: Word) -> Word:
     if w.n != a.n:
         raise ValueError(f"rank mismatch: {w.n} vs {a.n}")
     inv = _raw_invert_atoms(a.atoms)
-    return Word._trusted(
-        w.n,
-        _cancel(inv + w.atoms + a.atoms, True),
-        join_alphabets(w.alphabet, a.alphabet),
-    )
+    return Word._trusted(w.n, _cancel(inv + w.atoms + a.atoms, True))
 
 
 def _gamma_runsorted(atoms) -> tuple:

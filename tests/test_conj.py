@@ -17,6 +17,7 @@ from tvbraid.perms import Permutation
 from tvbraid.present import generator_expression
 from tvbraid.words import (
     Word,
+    _atom,
     canonical_key,
     format_word,
     free_reduce,
@@ -44,7 +45,7 @@ def test_canonicalize_atom_swap():
     assert canonicalize_atom(lam(1, 2, (1,))) == lam(1, 2, (1,))
     assert canonicalize_atom(lam(2, 1, sign=-1)).sign == -1
     # the check holds for an atom the table already holds, in either order
-    for raw in (lam(1, 2, (3,), check=False), lam(2, 1, (3,), check=False)):
+    for raw in (_atom("l", 1, 2, (3,)), _atom("l", 2, 1, (3,))):
         for _ in range(2):
             with pytest.raises(ValueError):
                 canonicalize_atom(raw)
@@ -93,7 +94,7 @@ def _to_ambient(w, family):
             atoms.append(a)
         else:
             atoms.extend(generator_expression(a, w.n, family).atoms)
-    return Word(w.n, atoms, "Ambient", check=False)
+    return Word(w.n, atoms, "Ambient")
 
 
 def test_normalize_decorated_matches_raw_conjugation():

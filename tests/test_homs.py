@@ -8,7 +8,7 @@ from tvbraid.homs import (
     make_hom,
 )
 from tvbraid.perms import Permutation, format_element
-from tvbraid.present import generator_expression
+from tvbraid.present import build_presentation, generator_expression
 from tvbraid.rs import derive_relators, make_context
 from tvbraid.words import Word, format_word, lam, parse_word, sigma, xgen
 
@@ -105,7 +105,8 @@ def test_decorated_sources_expand():
 
 
 def test_decorated_alphabets_expand_with_bars():
-    # expanding a decoration adds bars, so the word leaves DecoratedPL/HL
+    # decorated words evaluate through their expansion with bars, and the
+    # relators derived for pl stay inside DecoratedPL
     for name, pair, alphabet in (
         ("psiP", lam, "DecoratedPL"),
         ("psiH", xgen, "DecoratedHL"),
@@ -114,7 +115,9 @@ def test_decorated_alphabets_expand_with_bars():
         assert format_element(image(make_hom(name, 3), w)) == "[0,0,0]"
     h = make_hom("psiP", 3)
     derived = derive_relators(make_context("pl", 3))
-    assert derived and {d.word.alphabet for d in derived} == {"DecoratedPL"}
+    assert derived
+    for d in derived:
+        Word(3, d.word.atoms, "DecoratedPL")  # raises on an atom outside it
     assert all(image(h, d.word).is_identity() for d in derived)
 
 
@@ -122,3 +125,25 @@ def test_rank_mismatch():
     h = make_hom("phiP", 3)
     with pytest.raises(ValueError):
         image(h, parse_word("s1", 4))
+
+
+def _vp_section(a):
+    """s: VP_n -> PL_n, l_ij -> l_ij and l_ji -> l_ij:{i,j} for i < j."""
+    if a.i < a.j:
+        return a
+    return lam(a.j, a.i, (a.i, a.j), a.sign)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_vp_is_a_retract_of_pl(n):
+    # VP_n sits inside TVP_n through PL_n: plToVp after the section s is
+    # the identity on generators, and s sends relators to relators
+    h = make_hom("plToVp", n)
+    vp = build_presentation("vpn", n)
+    for g in vp.generators:
+        assert image(h, Word(n, [_vp_section(g)])) == Word(n, [g])
+    pl = build_presentation("pln", n)
+    for r in vp.relators:
+        w = Word(n, [_vp_section(a) for a in r.word.atoms])
+        assert pl.find_matching(w) is not None, (r.rid, format_word(w))
+    assert len(vp.relators) == {2: 0, 3: 6, 4: 36, 5: 120, 6: 300}[n]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tvbraid.present import _decorated_generators
 from tvbraid.words import (
     ALPHABETS,
     Atom,
@@ -12,6 +13,7 @@ from tvbraid.words import (
     canonical_key,
     concat,
     conjugate,
+    format_atom,
     format_word,
     free_reduce,
     gamma,
@@ -78,15 +80,16 @@ def test_atom_validation():
         Atom("l", 2, 2)
     with pytest.raises(ValueError):
         lam(1, 2, (3,))
-    # out-of-pair decorations are representable when validation is waived
-    assert lam(1, 2, (3,), check=False).deco == (3,)
+    # an Atom still represents an out-of-pair decoration; words reject it
+    assert Atom("l", 1, 2, (3,)).deco == (3,)
+    with pytest.raises(ParseError):
+        Word(3, [Atom("l", 1, 2, (3,))])
     with pytest.raises(ValueError):
         Atom("q", 1)
     with pytest.raises(ValueError):
         Atom("l", 1, 1)
-    # a rank check still runs when the decoration check is waived
     with pytest.raises(ParseError):
-        Word(3, [Atom("s", 5)], check=False)
+        Word(3, [Atom("s", 5)])
 
 
 def test_library_atoms_come_from_one_table():
@@ -141,9 +144,23 @@ def test_alphabet_membership():
     parse_word("l2,1:1,2 g1", 2, alphabet="PureTwisted")
 
 
-@given(word_strategy())
+@given(st.one_of(word_strategy(), word_strategy(12)))
 def test_parse_format_round_trip(w):
     assert parse_word(format_word(w), w.n) == w
+
+
+def test_decorations_above_nine_round_trip():
+    for n in (10, 11, 12):
+        for kind in ("l", "x"):
+            for g in _decorated_generators(n, kind):
+                assert parse_word(format_atom(g), n).atoms == (g,)
+    assert format_atom(lam(1, 11, (11,))) == "l1,11:11,"
+    assert format_atom(lam(1, 11, (1, 11), -1)) == "l1,11:1,11^-1"
+    assert format_atom(lam(1, 9, (9,))) == "l1,9:9"
+    assert parse_word("l1,11:11,", 11).atoms == (lam(1, 11, (11,)),)
+    for bad in ("l1,11:11,,", "l1,11:,", "l1,11:,11"):
+        with pytest.raises(ParseError):
+            parse_word(bad, 11)
 
 
 @given(word_strategy())
