@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from itertools import groupby
 from math import gcd
 
-from .perms import strip_sign
 from .present import Presentation
-from .words import Word, format_atom
+from .words import Word, format_atom, strip_sign
 
 
 def _exponents(index, atoms, what) -> list[int]:

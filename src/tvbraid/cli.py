@@ -4,7 +4,8 @@ Exit codes: 0 on success, 1 when a verification check fails, 2 for
 unusable input (bad syntax, unknown names, a rank range no selected
 verification check supports), 3 when input parses but a
 domain precondition fails (word outside the expected subgroup, map with
-no computable kernel test).
+no computable kernel test), 141 when the reader of stdout goes away
+(128 + SIGPIPE, as a shell reports a process killed by it).
 
 Words come either as positional arguments or, with no positional words,
 one per line on stdin.  Batch input is all-or-nothing: results print
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .abelian import abelian_invariants, invariants_text
@@ -230,7 +232,16 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; keep both.
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at the null device so that the flush at exit, which
+        # would find the pipe closed again, stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

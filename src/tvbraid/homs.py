@@ -1,13 +1,19 @@
 """The named quotient maps between the presented families.
 
-Concrete targets are the permutation models from perms; one map rewrites
-words of the decorated pair family into the virtual pure family, so its
-target is symbolic.  A map constructed by make_hom is unverified until
-check_well_defined has run; evaluating through an unverified map runs the
-check first and refuses a map whose relator images do not vanish.
+Each row of HOM_TABLE is the one description of a map: its source family,
+its target and its pair kind.  A concrete target is one of the models from
+perms, named as the coset transversal of its kernel: ``perm`` (S_n),
+``perm-bars`` (the extended symmetric group) or ``bars`` (Z_2^n).  One map
+rewrites words of the decorated pair family into the virtual pure family,
+so its target ``vpn`` is symbolic.  A map constructed by make_hom is
+unverified until check_well_defined has run; evaluating through an
+unverified map runs the check first and refuses a map whose relator images
+do not vanish.
 """
 
 from __future__ import annotations
+
+from itertools import combinations, permutations
 
 from .conj import expand_word
 from .perms import (
@@ -16,7 +22,6 @@ from .perms import (
     SignedPermutation,
     eval_word,
     format_element,
-    strip_sign,
 )
 from .present import Presentation, build_presentation
 from .words import (
@@ -31,28 +36,30 @@ from .words import (
     lam,
     rho,
     sigma,
-    xgen,
+    strip_sign,
 )
 
-#: name -> (source family, target family or model kind)
+#: name -> (source family, target, pair kind).  The pair kind, l or x, names
+#: the pair generators of the kernel; on tvbn it also says whether s<i> maps
+#: to the transposition (l) or to 1 (x).
 HOM_TABLE = {
-    "phiP": ("tvbn", "perm"),
-    "phiH": ("tvbn", "perm"),
-    "phiPT": ("tvbn", "signed"),
-    "phiHT": ("tvbn", "signed"),
-    "psiP": ("tvpn", "flip"),
-    "psiH": ("tvhn", "flip"),
-    "plToVp": ("pln", "vpn"),
+    "phiP": ("tvbn", "perm", "l"),
+    "phiH": ("tvbn", "perm", "x"),
+    "phiPT": ("tvbn", "perm-bars", "l"),
+    "phiHT": ("tvbn", "perm-bars", "x"),
+    "psiP": ("tvpn", "bars", "l"),
+    "psiH": ("tvhn", "bars", "x"),
+    "plToVp": ("pln", "vpn", "l"),
 }
+
 
 class Homomorphism:
     """A generator-image table with a memoized well-definedness verdict."""
 
-    def __init__(self, name, source_family, n, target, images, identity):
+    def __init__(self, name, n, images, identity):
         self.name = name
-        self.source_family = source_family
+        self.source_family, self.target, self.pair_kind = HOM_TABLE[name]
         self.n = n
-        self.target = target
         self.images = dict(images)
         self.identity = identity
         self._checked: bool | None = None
@@ -60,7 +67,7 @@ class Homomorphism:
 
     @property
     def concrete(self) -> bool:
-        return self.target in ("perm", "signed", "flip")
+        return self.target != "vpn"
 
     def source_presentation(self) -> Presentation:
         if self._source_pres is None:
@@ -75,42 +82,32 @@ class Homomorphism:
             )
         images = dict(self.images)
         images[strip_sign(atom)] = value
-        return Homomorphism(
-            self.name, self.source_family, self.n, self.target, images, self.identity
-        )
+        return Homomorphism(self.name, self.n, images, self.identity)
 
 
-def _perm_images(n, sigma_to_transposition):
+def _perm_images(n, pair_kind):
     ident = Permutation.identity(n)
     images = {}
     for i in range(1, n):
         t = Permutation.transposition(n, i, i + 1)
-        images[sigma(i)] = t if sigma_to_transposition else ident
+        images[sigma(i)] = t if pair_kind == "l" else ident
         images[rho(i)] = t
     for j in range(1, n + 1):
         images[gamma(j)] = ident
     return images, ident
 
 
-def _signed_images(n, sigma_to_transposition):
-    ident = SignedPermutation.identity(n)
-    images = {}
-    for i in range(1, n):
-        t = SignedPermutation(
-            Permutation.transposition(n, i, i + 1), FlipVector.identity(n)
-        )
-        images[sigma(i)] = t if sigma_to_transposition else ident
-        images[rho(i)] = t
+def _signed_images(n, pair_kind):
+    """The permutation images without bars; g<j> flips strand j."""
+    perms, ident = _perm_images(n, pair_kind)
+    flat = FlipVector.identity(n)
+    images = {a: SignedPermutation(p, flat) for a, p in perms.items()}
     for j in range(1, n + 1):
-        images[gamma(j)] = SignedPermutation(
-            Permutation.identity(n), FlipVector.unit(n, j)
-        )
-    return images, ident
+        images[gamma(j)] = SignedPermutation(ident, FlipVector.unit(n, j))
+    return images, SignedPermutation.identity(n)
 
 
 def _flip_images(n, pair_kind):
-    from itertools import permutations
-
     ident = FlipVector.identity(n)
     images = {}
     for i, j in permutations(range(1, n + 1), 2):
@@ -120,34 +117,31 @@ def _flip_images(n, pair_kind):
     return images, ident
 
 
-def _pl_to_vp_images(n):
-    from itertools import combinations
-
+def _pl_to_vp_images(n, pair_kind):
     empty = Word(n, (), "PureTwisted")
     images = {}
     for i, j in combinations(range(1, n + 1), 2):
-        images[lam(i, j)] = Word(n, [lam(i, j)], "PureTwisted")
-        images[lam(i, j, (i,))] = empty
-        images[lam(i, j, (j,))] = empty
-        images[lam(i, j, (i, j))] = Word(n, [lam(j, i)], "PureTwisted")
+        images[_atom(pair_kind, i, j)] = Word(n, [lam(i, j)], "PureTwisted")
+        images[_atom(pair_kind, i, j, (i,))] = empty
+        images[_atom(pair_kind, i, j, (j,))] = empty
+        images[_atom(pair_kind, i, j, (i, j))] = Word(n, [lam(j, i)], "PureTwisted")
     return images, empty
+
+
+#: target -> builder of (generator images, identity) from (n, pair kind)
+_IMAGES = {
+    "perm": _perm_images,
+    "perm-bars": _signed_images,
+    "bars": _flip_images,
+    "vpn": _pl_to_vp_images,
+}
 
 
 def make_hom(name: str, n: int) -> Homomorphism:
     if name not in HOM_TABLE:
         raise ValueError(f"unknown homomorphism {name!r}; known: {', '.join(HOM_TABLE)}")
-    source, target = HOM_TABLE[name]
-    if name in ("phiP", "phiH"):
-        images, ident = _perm_images(n, sigma_to_transposition=(name == "phiP"))
-    elif name in ("phiPT", "phiHT"):
-        images, ident = _signed_images(n, sigma_to_transposition=(name == "phiPT"))
-    elif name == "psiP":
-        images, ident = _flip_images(n, "l")
-    elif name == "psiH":
-        images, ident = _flip_images(n, "x")
-    else:
-        images, ident = _pl_to_vp_images(n)
-    return Homomorphism(name, source, n, target, images, ident)
+    _, target, pair_kind = HOM_TABLE[name]
+    return Homomorphism(name, n, *_IMAGES[target](n, pair_kind))
 
 
 def _eval_symbolic(h: Homomorphism, w: Word) -> Word:

@@ -7,7 +7,7 @@ same order, which keeps eval(u v) == eval(u) * eval(v) without reversals.
 
 from __future__ import annotations
 
-from .words import Atom, Word, _atom
+from .words import Word, strip_sign
 
 
 class Permutation:
@@ -200,10 +200,6 @@ def format_element(e) -> str:
             + "]"
         )
     raise TypeError(f"cannot format {type(e).__name__}")
-
-
-def strip_sign(a: Atom) -> Atom:
-    return a if a.sign == 1 else _atom(a.kind, a.i, a.j, a.deco, 1)
 
 
 def eval_word(w: Word, images: dict, identity):

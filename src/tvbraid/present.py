@@ -40,6 +40,7 @@ from .words import (
     reduce,
     rho,
     sigma,
+    strip_sign,
     xgen,
 )
 
@@ -371,7 +372,7 @@ def eliminate_generators(pres: Presentation, removals: dict[Atom, Word]) -> Pres
         touched = False
         atoms: list[Atom] = []
         for a in r.word.atoms:
-            pos = a if a.sign == 1 else _atom(a.kind, a.i, a.j, a.deco, 1)
+            pos = strip_sign(a)
             if pos in sub:
                 touched = True
                 atoms.extend(sub[pos] if a.sign == 1 else inv_sub[pos])

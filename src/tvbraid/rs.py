@@ -1,27 +1,29 @@
 """Coset-transversal rewriting of kernel words into subgroup generators.
 
-Each context couples an ambient presented group with one of the named
-quotient maps and a Schreier transversal of coset representative words
-(every prefix of a representative is a representative).  Representatives
-are decoded from the quotient element, never tabulated for rewriting.
-Kernel words are rewritten letter by letter: the letter at position p,
-conjugated back by the representative of the walked prefix, classifies to
-a named subgroup generator or to nothing, and the collected atoms form the
-subgroup word.  A context numbers each coset the first time a walk reaches
-it and classifies each (coset id, letter) cell once, then reads it back.
-The kernel presentation comes from walking every ambient relator from the
-coset of every representative t: that walk yields the atoms of the rewrite
-of t r t^-1, since the letters of a Schreier representative classify to
-nothing.
+A context is one of the named quotient maps plus the registry family its
+kernel is compared with.  The map's HOM_TABLE row gives everything else:
+the ambient group is the map's source presentation, the target names the
+Schreier transversal of coset representative words (every prefix of a
+representative is a representative), and the pair kind names the subgroup
+generators.  Representatives are decoded from the quotient element, never
+tabulated for rewriting.  Kernel words are rewritten letter by letter: the
+letter at position p, conjugated back by the representative of the walked
+prefix, classifies to a named subgroup generator or to nothing, and the
+collected atoms form the subgroup word.  A context numbers each coset the
+first time a walk reaches it and classifies each (coset id, letter) cell
+once, then reads it back.  The kernel presentation comes from walking
+every ambient relator from the coset of every representative t: that walk
+yields the atoms of the rewrite of t r t^-1, since the letters of a
+Schreier representative classify to nothing.
 
 Context names and their kernels:
 
-    tvp  ambient tvbn via phiP, pair generators l plus bars
-    tvh  ambient tvbn via phiH, pair generators x plus bars
-    pt   ambient tvbn via phiPT, decorated l generators
-    ht   ambient tvbn via phiHT, decorated x generators
-    pl   ambient tvpn via psiP, decorated l generators
-    hl   ambient tvhn via psiH, decorated x generators
+    tvp  kernel of phiP, pair generators l plus bars
+    tvh  kernel of phiH, pair generators x plus bars
+    pt   kernel of phiPT, decorated l generators
+    ht   kernel of phiHT, decorated x generators
+    pl   kernel of psiP, decorated l generators
+    hl   kernel of psiH, decorated x generators
 """
 
 from __future__ import annotations
@@ -32,14 +34,8 @@ from math import factorial
 
 from .conj import act_gamma_set, act_sn, canonicalize_atom
 from .homs import Homomorphism, _raw_image, make_hom
-from .perms import (
-    FlipVector,
-    Permutation,
-    SignedPermutation,
-    format_element,
-    strip_sign,
-)
-from .present import Presentation, build_presentation
+from .perms import FlipVector, Permutation, SignedPermutation, format_element
+from .present import Presentation
 from .words import (
     Atom,
     Word,
@@ -52,18 +48,12 @@ from .words import (
     gamma,
     reduce,
     rho,
+    strip_sign,
 )
 
 
 class ClassifyError(ValueError):
     """No named subgroup generator matches a rewritten column."""
-
-
-_ELEMENT_TYPES = {
-    "perm": Permutation,
-    "bars": FlipVector,
-    "perm-bars": SignedPermutation,
-}
 
 
 def _bars(el) -> list[int]:
@@ -76,8 +66,8 @@ def _bars(el) -> list[int]:
 
 
 class Transversal:
-    """Coset representative words of one finite quotient, decoded from the
-    quotient element.
+    """Coset representative words of the finite target of a map, decoded
+    from the quotient element; its kind is the map's target.
 
     ``perm``: one word per permutation p, the product, k ascending, of one
     block per strand k >= 2, the descending chain r<k-1> ... r<j> with
@@ -90,10 +80,10 @@ class Transversal:
     ``table`` enumerate all cosets on first use, in a frozen order.
     """
 
-    def __init__(self, name: str, n: int):
-        self.name = name
-        self.n = n
-        self._type = _ELEMENT_TYPES[name]
+    def __init__(self, hom: Homomorphism):
+        self.name = hom.target
+        self.n = n = hom.n
+        self._type = type(hom.identity)
         self._rho = [None] + [rho(i) for i in range(1, n)]
         self._gamma = [None] + [gamma(k) for k in range(1, n + 1)]
 
@@ -156,16 +146,15 @@ class Transversal:
         return perms if self.name == "perm" else perms << self.n
 
 
-#: context -> (ambient family, quotient map, transversal kind,
-#:             registry family or None); the subgroup generators a context
-#:             rewrites into follow from its name, in _classify_element
+#: context -> (quotient map, registry family or None); the ambient family,
+#: transversal kind and subgroup generators come from the map's HOM_TABLE row
 KERNEL_TABLE = {
-    "tvp": ("tvbn", "phiP", "perm", "tvpn"),
-    "tvh": ("tvbn", "phiH", "perm", "tvhn"),
-    "pt": ("tvbn", "phiPT", "perm-bars", None),
-    "ht": ("tvbn", "phiHT", "perm-bars", None),
-    "pl": ("tvpn", "psiP", "bars", "pln"),
-    "hl": ("tvhn", "psiH", "bars", "hln"),
+    "tvp": ("phiP", "tvpn"),
+    "tvh": ("phiH", "tvhn"),
+    "pt": ("phiPT", None),
+    "ht": ("phiHT", None),
+    "pl": ("psiP", "pln"),
+    "hl": ("psiH", "hln"),
 }
 
 
@@ -195,14 +184,10 @@ class RSContext:
 def make_context(name: str, n: int) -> RSContext:
     if name not in KERNEL_TABLE:
         raise ValueError(f"unknown kernel {name!r}; known: {', '.join(KERNEL_TABLE)}")
-    ambient_family, hom_name, tkind, registry = KERNEL_TABLE[name]
+    hom_name, registry = KERNEL_TABLE[name]
+    hom = make_hom(hom_name, n)
     return RSContext(
-        name,
-        n,
-        build_presentation(ambient_family, n),
-        make_hom(hom_name, n),
-        Transversal(tkind, n),
-        registry,
+        name, n, hom.source_presentation(), hom, Transversal(hom), registry
     )
 
 
@@ -237,31 +222,30 @@ def classify(ctx: RSContext, t: Word, a: Atom):
 
 
 def _classify_element(ctx: RSContext, el, a: Atom):
-    """classify for the representative of the coset element el."""
-    kind = a.kind
-    if ctx.name in ("tvp", "tvh"):
-        if kind == "r":
-            return None
-        pinv = el.inverse()
-        if kind == "g":
-            return gamma(pinv(a.i))
-        if kind == "s":
-            if ctx.name == "tvp":
-                return _atom("l", pinv(a.i), pinv(a.i + 1), (), -1)
-            return _atom("x", pinv(a.i), pinv(a.i + 1), (), 1)
-    elif ctx.name in ("pt", "ht"):
-        if kind in ("r", "g"):
-            return None
-        if kind == "s":
-            base_kind, sign = ("l", -1) if ctx.name == "pt" else ("x", 1)
-            base = _atom(base_kind, a.i, a.i + 1, (), sign)
-            return act_sn(el.perm.inverse(), act_gamma_set(_bars(el), base))
-    else:
+    """classify for the representative of the coset element el.
+
+    On tvbn a column s<i> names a generator of the map's pair kind, based
+    on l<i>,<i+1>^-1 or x<i>,<i+1>; r<i> columns are trivial, and so are
+    g<i> columns when the bars lie in the transversal.  On tvpn and tvhn
+    the pair columns name decorated generators and the bars are trivial.
+    """
+    kind, target, pair = a.kind, ctx.hom.target, ctx.hom.pair_kind
+    if target == "bars":
         if kind == "g":
             return None
-        expected = "l" if ctx.name == "pl" else "x"
-        if kind == expected:
+        if kind == pair:
             return act_gamma_set(_bars(el), canonicalize_atom(a))
+    elif kind == "r" or kind == "g" and target == "perm-bars":
+        return None
+    elif kind == "g":
+        return gamma(el.inverse()(a.i))
+    elif kind == "s":
+        sign = -1 if pair == "l" else 1
+        if target == "perm":
+            pinv = el.inverse()
+            return _atom(pair, pinv(a.i), pinv(a.i + 1), (), sign)
+        base = _atom(pair, a.i, a.i + 1, (), sign)
+        return act_sn(el.perm.inverse(), act_gamma_set(_bars(el), base))
     t = ctx.transversal.lookup(el)
     raise ClassifyError(
         f"no generator for column ({format_word(t)!r}, {format_atom(a)})"

@@ -271,28 +271,11 @@ def _random_word(rng, n, alphabet_atoms, max_len=24):
     return Word(n, atoms)
 
 
-def _source_atoms(family, n):
-    if family == "tvbn":
-        out = [Atom("s", i) for i in range(1, n)]
-        out += [Atom("r", i) for i in range(1, n)]
-        out += [gamma(j) for j in range(1, n + 1)]
-        return out
-    kind = "l" if family == "tvpn" else "x"
-    out = [
-        Atom(kind, i, j)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if i != j
-    ]
-    out += [gamma(j) for j in range(1, n + 1)]
-    return out
-
-
 def _check_split(n: int, seed: int):
     rng = random.Random(seed + n)
     for name in _SPLIT_CONTEXTS:
         ctx = make_context(name, n)
-        atoms = _source_atoms(ctx.ambient.family, n)
+        atoms = ctx.ambient.generators
         for trial in range(1000):
             w = _random_word(rng, n, atoms)
             k, t = split(ctx, w)

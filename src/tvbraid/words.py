@@ -123,6 +123,11 @@ def _atom(kind: str, i: int, j: int | None = None, deco=(), sign: int = 1) -> At
     return a
 
 
+def strip_sign(a: Atom) -> Atom:
+    """The positive atom of a's generator."""
+    return a if a.sign == 1 else _atom(a.kind, a.i, a.j, a.deco, 1)
+
+
 def sigma(i: int, sign: int = 1) -> Atom:
     return _atom("s", i, sign=sign)
 
@@ -246,8 +251,10 @@ def parse_word(text: str, n: int, alphabet: str = "Mixed") -> Word:
         sign = -1 if m.group("sign") else 1
         if deco and kind not in _PAIRED:
             raise ParseError(f"kind {kind!r} cannot carry a decoration: {tok!r}")
+        if len(set(deco)) != len(deco):
+            raise ParseError(f"decoration names an index twice: {tok!r}")
         try:
-            atoms.append(Atom(kind, i, j, tuple(sorted(set(deco))), sign))
+            atoms.append(Atom(kind, i, j, tuple(sorted(deco)), sign))
         except ValueError as exc:
             raise ParseError(f"bad token {tok!r}: {exc}") from None
     try:

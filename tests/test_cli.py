@@ -103,6 +103,28 @@ def test_domain_error_exit(capsys):
     assert code == 3
 
 
+def test_closed_stdout_exits_141_quietly(capsys, monkeypatch, tmp_path):
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fd
+
+    with open(tmp_path / "stdout", "w") as f:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(f.fileno()))
+        code = main(["present", "--group", "pln", "-n", "3"])
+        monkeypatch.undo()
+    assert code == 141
+    assert capsys.readouterr().err == ""
+
+
 def test_usage_error_exit(capsys):
     assert main(["image", "-n", "3", "s1"]) == 2  # missing --hom
     capsys.readouterr()

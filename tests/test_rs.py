@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvbraid.homs import _raw_image
+from tvbraid.perms import enumerate_closure
 from tvbraid.present import build_presentation, generator_expression
 from tvbraid.rs import (
     ClassifyError,
@@ -173,8 +174,7 @@ def test_split_factorisation():
     rng = random.Random(31)
     for name in ("tvp", "pl", "pt"):
         ctx = make_context(name, 3)
-        src = build_presentation(KERNEL_TABLE[name][0], 3)
-        gens = [Word(3, [g]) for g in src.generators]
+        gens = [Word(3, [g]) for g in ctx.ambient.generators]
         for _ in range(200):
             atoms = []
             for _ in range(rng.randint(0, 12)):
@@ -266,6 +266,27 @@ def test_kernel_table_contexts():
         assert ctx.name == name
     with pytest.raises(ValueError):
         make_context("xx", 3)
+
+
+_IMAGE_ORDERS = {
+    "tvp": factorial,
+    "tvh": factorial,
+    "pt": lambda n: 2 ** n * factorial(n),
+    "ht": lambda n: 2 ** n * factorial(n),
+    "pl": lambda n: 2 ** n,
+    "hl": lambda n: 2 ** n,
+}
+
+
+def test_transversal_counts_the_image_of_its_map():
+    """The transversal kind is read from the map; closing the map's
+    generator images in its model counts the cosets independently."""
+    assert set(_IMAGE_ORDERS) == set(KERNEL_TABLE)
+    for name, order in _IMAGE_ORDERS.items():
+        for n in (2, 3, 4):
+            ctx = make_context(name, n)
+            closure = enumerate_closure(ctx.hom.images.values(), limit=order(n))
+            assert len(ctx.transversal) == len(closure) == order(n), (name, n)
 
 
 def _built_transversal(kind, n):
@@ -384,7 +405,7 @@ def test_classify_rejects_non_transversal_words():
 @lru_cache(maxsize=None)
 def _context_and_letters(name, n):
     ctx = make_context(name, n)
-    return ctx, build_presentation(KERNEL_TABLE[name][0], n).generators
+    return ctx, ctx.ambient.generators
 
 
 _PICKS = st.lists(st.tuples(st.integers(0, 63), st.booleans()), max_size=12)

@@ -129,12 +129,16 @@ def test_parse_frozen_examples():
 
 def test_parse_rejects_garbage():
     for bad in [
-        "q1", "s0", "s3", "l1,1", "l1,2:4", "l1,2:3", "s1^2", "s1^-2", "r1^-1x"
+        "q1", "s0", "s3", "l1,1", "l1,2:4", "l1,2:3", "s1^2", "s1^-2", "r1^-1x",
+        "l1,2:11", "l1,2:1,1", "x2,1:22",
     ]:
         with pytest.raises(ParseError):
             parse_word(bad, 3)
     with pytest.raises(ParseError):
         parse_word("l1,2", 3, alphabet="Ambient")
+    with pytest.raises(ParseError, match="index twice"):
+        parse_word("l1,11:11", 11)
+    assert parse_word("l1,2:21", 3) == parse_word("l1,2:12", 3)
 
 
 def test_alphabet_membership():
