@@ -2,8 +2,9 @@
 
 The files under tests/golden/ hold the derived relator lines of every
 kernel context at n=2..4 and the sha256 of those lines, joined by
-newlines, at n=5, the representative words of every transversal
-kind at n=2..5, in the order the library produces them, the sha256 of
+newlines, at n=5, and of tvp, tvh, pl and hl at n=6, the representative
+words of every transversal kind at n=2..5, in the order the library
+produces them, the sha256 of
 every stored presentation at n=1..6, and of tvpn, tvhn, pln and hln at
 n=7 as well (its text followed by its JSON), and the sha256 of the Smith
 form (diagonal, rank and column transform V) of the relation matrix of
@@ -48,10 +49,13 @@ def test_derived_relator_lines(name):
 
 def test_derived_relator_digests():
     want = {}
-    for line in _golden("derived_n5.txt"):
-        name, n, digest = line.split()
-        want[name, int(n)] = digest
-    assert set(want) == {(name, 5) for name in KERNEL_TABLE}
+    for golden in ("derived_n5.txt", "derived_n6.txt"):
+        for line in _golden(golden):
+            name, n, digest = line.split()
+            want[name, int(n)] = digest
+    assert set(want) == {(name, 5) for name in KERNEL_TABLE} | {
+        (name, 6) for name in ("tvp", "tvh", "pl", "hl")
+    }
     for (name, n), digest in want.items():
         lines = [d.line() for d in derive_relators(make_context(name, n))]
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest, name
