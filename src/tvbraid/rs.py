@@ -10,11 +10,14 @@ tabulated for rewriting.  Kernel words are rewritten letter by letter: the
 letter at position p, conjugated back by the representative of the walked
 prefix, classifies to a named subgroup generator or to nothing, and the
 collected atoms form the subgroup word.  A context numbers each coset the
-first time a walk reaches it and classifies each (coset id, letter) cell
-once, then reads it back.  The kernel presentation comes from walking
-every ambient relator from the coset of every representative t: that walk
-yields the atoms of the rewrite of t r t^-1, since the letters of a
-Schreier representative classify to nothing.
+first time a walk reaches it and fills each (coset id, letter) cell once
+with the next coset id, the classified atom and the atom that cancels it,
+then reads it back; the walk free-reduces as it collects, by comparing
+each atom with the cancelling atom of the one before.  The kernel
+presentation comes from walking every ambient relator from the coset of
+every representative t: that walk yields the atoms of the rewrite of
+t r t^-1, since the letters of a Schreier representative classify to
+nothing.
 
 Context names and their kernels:
 
@@ -44,7 +47,6 @@ from .words import (
     canonical_key,
     format_atom,
     format_word,
-    free_reduce,
     gamma,
     reduce,
     rho,
@@ -171,9 +173,12 @@ class RSContext:
     elements: list = field(default_factory=list, repr=False, compare=False)
     #: quotient element -> coset id
     ids: dict = field(default_factory=dict, repr=False, compare=False)
-    #: coset id -> {signed letter: (next coset id, classified atom or None)},
-    #: each cell filled the first time a walk visits it
+    #: coset id -> {signed letter: (next coset id, classified atom or None,
+    #: the atom that cancels it or None)}, each cell filled the first time a
+    #: walk visits it; only s, l and x atoms have a cancelling atom
     rows: list = field(default_factory=list, repr=False, compare=False)
+    #: signed letter -> its quotient element, filled on first use
+    letters: dict = field(default_factory=dict, repr=False, compare=False)
     #: coset ids of the transversal words, in their order, once derived
     rep_ids: list | None = field(default=None, repr=False, compare=False)
     #: atoms -> derived relator, so that every derivation on this context
@@ -263,16 +268,20 @@ def _coset_id(ctx: RSContext, el) -> int:
 
 
 def _cell(ctx: RSContext, cur: int, a: Atom):
-    """Coset id after the letter a from the coset cur, and the letter's
-    classified atom: a positive letter is classified at the coset before
-    it, a negative one at the coset after it, and the atom inherits the
-    letter's sign."""
+    """Coset id after the letter a from the coset cur, the letter's
+    classified atom and the atom that cancels it: a positive letter is
+    classified at the coset before it, a negative one at the coset after
+    it, and the atom inherits the letter's sign."""
     el = ctx.elements[cur]
-    nxt = el * _raw_image(ctx.hom, Word._trusted(ctx.n, (a,)))
+    img = ctx.letters.get(a)
+    if img is None:
+        img = ctx.letters[a] = _raw_image(ctx.hom, Word._trusted(ctx.n, (a,)))
+    nxt = el * img
     c = _classify_element(ctx, el if a.sign == 1 else nxt, strip_sign(a))
     if c is not None and a.sign == -1:
         c = c.inverse()
-    return _coset_id(ctx, nxt), c
+    inv = None if c is None or c.kind in "rg" else c.inverse()
+    return _coset_id(ctx, nxt), c, inv
 
 
 @dataclass
@@ -285,9 +294,10 @@ def rewrite_tau(ctx: RSContext, u: Word, start: int | None = None) -> RewriteRes
     """Rewrite a kernel word into subgroup generators.
 
     Walks u letter by letter through the context's coset cells from the
-    coset id start, by default the identity's.  The result keeps the raw
-    atom sequence alongside the freely reduced word, so squares of
-    involution generators survive.
+    coset id start, by default the identity's, and free-reduces the
+    collected atoms as it goes.  The result keeps the raw atom sequence
+    alongside the freely reduced word, so squares of involution generators
+    survive.
 
     Raises ValueError when the walk does not end at its start coset: from
     the identity, when u is not in the kernel.
@@ -298,15 +308,22 @@ def rewrite_tau(ctx: RSContext, u: Word, start: int | None = None) -> RewriteRes
         start = _coset_id(ctx, ctx.hom.identity)
     rows = ctx.rows
     cur = start
+    raw: list[Atom] = []
     out: list[Atom] = []
     for a in u.atoms:
         row = rows[cur]
         cell = row.get(a)
         if cell is None:
             cell = row[a] = _cell(ctx, cur, a)
-        cur, c = cell
+        cur, c, inv = cell
         if c is not None:
-            out.append(c)
+            raw.append(c)
+            # classified atoms come from the atom table, so identity is
+            # equality; r and g atoms have no cancelling atom
+            if out and out[-1] is inv:
+                out.pop()
+            else:
+                out.append(c)
     if cur != start:
         el = ctx.elements[cur]
         if ctx.elements[start].is_identity():
@@ -318,8 +335,9 @@ def rewrite_tau(ctx: RSContext, u: Word, start: int | None = None) -> RewriteRes
             f"walk from coset {format_element(ctx.elements[start])} ends at "
             f"coset {format_element(el)}"
         )
-    raw = Word._trusted(ctx.n, tuple(out))
-    return RewriteResult(free_reduce(raw), raw)
+    return RewriteResult(
+        Word._trusted(ctx.n, tuple(out)), Word._trusted(ctx.n, tuple(raw))
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -340,7 +358,8 @@ def derive_relators(ctx: RSContext) -> list[DerivedRelator]:
     """Presentation relators of the kernel: every ambient relator r,
     conjugated by every representative t, rewritten and deduplicated up to
     the cyclic class key.  The rewrite of t r t^-1 is that of r walked from
-    the coset of t.  Empty rewrites are dropped; each survivor keeps its
+    the coset of t.  Empty rewrites and exact repeats of an earlier rewrite
+    are dropped before the key is computed; each survivor keeps its
     ambient relator and conjugator for auditing."""
     tr = ctx.transversal
     if ctx.rep_ids is None:
@@ -348,11 +367,13 @@ def derive_relators(ctx: RSContext) -> list[DerivedRelator]:
     reps = tr.words()
     out: list[DerivedRelator] = []
     seen = set()
+    rewritten = set()
     for r in ctx.ambient.relators:
         for t, c in zip(reps, ctx.rep_ids):
             w = rewrite_tau(ctx, r.word, start=c).word
-            if not w.atoms:
+            if not w.atoms or w.atoms in rewritten:
                 continue
+            rewritten.add(w.atoms)
             key = canonical_key(w)
             if key in seen:
                 continue

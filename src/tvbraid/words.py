@@ -35,7 +35,7 @@ already checked words skip the checks.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 KINDS = ("s", "r", "g", "l", "x")
 
@@ -66,6 +66,11 @@ class Atom:
     strictly increasing tuple of bar-conjugator indices (paired kinds only).
     Involution kinds fold their sign to +1.  Index-range checks against a
     rank happen at Word construction, not here.
+
+    The hash is computed from the all-integer sort key on first use and
+    kept in ``_hash``, which takes no part in equality or repr.  Integer
+    hashes are not salted per process, so a cached hash that travels with
+    a pickled atom stays valid under any ``PYTHONHASHSEED``.
     """
 
     kind: str
@@ -73,6 +78,7 @@ class Atom:
     j: int | None = None
     deco: tuple[int, ...] = ()
     sign: int = 1
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -107,6 +113,13 @@ class Atom:
 
     def sort_key(self) -> tuple:
         return (_KIND_ORDER[self.kind], self.i, self.j or 0, self.deco, self.sign)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash(self.sort_key())
+            object.__setattr__(self, "_hash", h)
+        return h
 
 
 #: (kind, i, j, deco, sign) -> the one validated Atom of that value

@@ -222,8 +222,8 @@ REGISTRY_MATCHES = [
     ("tvh", "tvhn", (3, 4, 5)),
     ("pl", "pln", (3, 4, 5)),
     ("hl", "hln", (3, 4, 5)),
-    ("pt", "pln", (2, 3, 4)),
-    ("ht", "hln", (2, 3, 4)),
+    ("pt", "pln", (2, 3, 4, 5)),
+    ("ht", "hln", (2, 3, 4, 5)),
 ]
 
 
@@ -248,6 +248,27 @@ def test_relator_walk_from_start_coset_is_conjugate_rewrite():
                     conj = Word(n, t.atoms + r.word.atoms + _raw_invert_atoms(t.atoms))
                     got = rewrite_tau(ctx, r.word, start=start).raw
                     assert got == rewrite_tau(ctx, conj).raw, (name, n, r.rid, t)
+
+
+def test_walk_reduction_is_free_reduction():
+    """The word a walk reduces as it goes is the free reduction of its raw
+    atoms, for every relator walked from every start coset and for seeded
+    kernel words."""
+    rng = random.Random(59)
+    for name in sorted(KERNEL_TABLE):
+        for n in (2, 3, 4):
+            ctx = make_context(name, n)
+            starts = [_coset_id(ctx, el) for el in ctx.transversal.order]
+            for r in ctx.ambient.relators:
+                for start in starts:
+                    res = rewrite_tau(ctx, r.word, start=start)
+                    assert res.word == free_reduce(res.raw), (name, n, r.rid, start)
+            letters = ctx.ambient.generators
+            for _ in range(100):
+                atoms = [rng.choice(letters) for _ in range(rng.randint(0, 16))]
+                atoms = [a.inverse() if rng.random() < 0.5 else a for a in atoms]
+                res = rewrite_tau(ctx, split(ctx, Word(n, atoms))[0])
+                assert res.word == free_reduce(res.raw), (name, n, atoms)
 
 
 def test_derived_relator_lines():

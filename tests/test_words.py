@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from tvbraid.words import (
     Atom,
     ParseError,
     Word,
+    _atom,
     canonical_key,
     concat,
     conjugate,
@@ -262,3 +266,55 @@ def test_canonical_key_gamma_runs():
 def test_canonical_key_distinguishes_reduced_words(w):
     # sanity: identical words always share a key
     assert canonical_key(w) == canonical_key(Word(w.n, w.atoms))
+
+
+def test_equal_atoms_hash_alike_however_built():
+    """Atom(...), parse_word and the library's atom table give equal atoms
+    equal hashes, so each finds the others as dict keys."""
+    cases = [
+        (Atom("l", 1, 2, (1,), -1), "l1,2:1^-1", lam(1, 2, (1,), -1)),
+        (Atom("x", 3, 1), "x3,1", xgen(3, 1)),
+        (Atom("s", 2, sign=-1), "s2^-1", sigma(2, -1)),
+        (Atom("r", 1, sign=-1), "r1", rho(1)),
+        (Atom("g", 3), "g3", _atom("g", 3)),
+    ]
+    for built, text, table in cases:
+        parsed = parse_word(text, 3).atoms[0]
+        assert built == parsed == table
+        assert hash(built) == hash(parsed) == hash(table)
+        for a, b in [(built, parsed), (parsed, table), (table, built)]:
+            assert {a: text}[b] == text
+
+
+_PICKLE_ATOMS = """
+import pickle, sys
+from tvbraid.words import parse_word
+atoms = parse_word("l1,2:12^-1 x2,1:1 s1 s2^-1 r3 g4", 4).atoms
+{a: None for a in atoms}  # fill the cached hashes before pickling
+sys.stdout.write(pickle.dumps(atoms).hex())
+"""
+
+_FIND_ATOMS = """
+import pickle, sys
+from tvbraid.words import _atom
+atoms = pickle.loads(bytes.fromhex(sys.stdin.read()))
+table = {
+    _atom("l", 1, 2, (1, 2), -1): 0, _atom("x", 2, 1, (1,)): 1, _atom("s", 1): 2,
+    _atom("s", 2, sign=-1): 3, _atom("r", 3): 4, _atom("g", 4): 5,
+}
+print([table.get(a) for a in atoms])
+"""
+
+
+def test_pickled_atom_hash_survives_another_hash_seed():
+    def child(code, seed, stdin=""):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], input=stdin, env=env,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    found = child(_FIND_ATOMS, "2", child(_PICKLE_ATOMS, "1"))
+    assert found.strip() == "[0, 1, 2, 3, 4, 5]"
