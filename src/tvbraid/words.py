@@ -118,8 +118,12 @@ class Atom:
         h = self._hash
         if h is None:
             h = hash(self.sort_key())
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
+
+
+#: the setter of the ``_hash`` slot, past the frozen ``__setattr__``
+_set_hash = Atom._hash.__set__
 
 
 #: (kind, i, j, deco, sign) -> the one validated Atom of that value
