@@ -117,7 +117,10 @@ class Atom:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash(self.sort_key())
+            # sort_key() inlined: the first hash of a parsed atom is on the
+            # rewrite path
+            k = _KIND_ORDER[self.kind]
+            h = hash((k, self.i, self.j or 0, self.deco, self.sign))
             _set_hash(self, h)
         return h
 
