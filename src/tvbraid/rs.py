@@ -278,10 +278,14 @@ def _cell(ctx: RSContext, cur: int, a: Atom):
         img = ctx.letters[a] = _raw_image(ctx.hom, Word._trusted(ctx.n, (a,)))
     nxt = el * img
     c = _classify_element(ctx, el if a.sign == 1 else nxt, strip_sign(a))
-    if c is not None and a.sign == -1:
+    if c is None:
+        return _coset_id(ctx, nxt), None, None
+    # the table's atom, even when the classifier hands back a parsed letter,
+    # so that the walk can compare atoms by identity
+    c = _atom(c.kind, c.i, c.j, c.deco, c.sign)
+    if a.sign == -1:
         c = c.inverse()
-    inv = None if c is None or c.kind in "rg" else c.inverse()
-    return _coset_id(ctx, nxt), c, inv
+    return _coset_id(ctx, nxt), c, None if c.kind in "rg" else c.inverse()
 
 
 @dataclass
@@ -318,8 +322,8 @@ def rewrite_tau(ctx: RSContext, u: Word, start: int | None = None) -> RewriteRes
         cur, c, inv = cell
         if c is not None:
             raw.append(c)
-            # classified atoms come from the atom table, so identity is
-            # equality; r and g atoms have no cancelling atom
+            # _cell stores the atom table's atoms, so identity is equality;
+            # r and g atoms have no cancelling atom
             if out and out[-1] is inv:
                 out.pop()
             else:

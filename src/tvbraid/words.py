@@ -35,7 +35,7 @@ already checked words skip the checks.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 KINDS = ("s", "r", "g", "l", "x")
 
@@ -66,11 +66,6 @@ class Atom:
     strictly increasing tuple of bar-conjugator indices (paired kinds only).
     Involution kinds fold their sign to +1.  Index-range checks against a
     rank happen at Word construction, not here.
-
-    The hash is computed from the all-integer sort key on first use and
-    kept in ``_hash``, which takes no part in equality or repr.  Integer
-    hashes are not salted per process, so a cached hash that travels with
-    a pickled atom stays valid under any ``PYTHONHASHSEED``.
     """
 
     kind: str
@@ -78,7 +73,6 @@ class Atom:
     j: int | None = None
     deco: tuple[int, ...] = ()
     sign: int = 1
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -113,20 +107,6 @@ class Atom:
 
     def sort_key(self) -> tuple:
         return (_KIND_ORDER[self.kind], self.i, self.j or 0, self.deco, self.sign)
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            # sort_key() inlined: the first hash of a parsed atom is on the
-            # rewrite path
-            k = _KIND_ORDER[self.kind]
-            h = hash((k, self.i, self.j or 0, self.deco, self.sign))
-            _set_hash(self, h)
-        return h
-
-
-#: the setter of the ``_hash`` slot, past the frozen ``__setattr__``
-_set_hash = Atom._hash.__set__
 
 
 #: (kind, i, j, deco, sign) -> the one validated Atom of that value

@@ -1,7 +1,4 @@
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -284,37 +281,3 @@ def test_equal_atoms_hash_alike_however_built():
         assert hash(built) == hash(parsed) == hash(table)
         for a, b in [(built, parsed), (parsed, table), (table, built)]:
             assert {a: text}[b] == text
-
-
-_PICKLE_ATOMS = """
-import pickle, sys
-from tvbraid.words import parse_word
-atoms = parse_word("l1,2:12^-1 x2,1:1 s1 s2^-1 r3 g4", 4).atoms
-{a: None for a in atoms}  # fill the cached hashes before pickling
-sys.stdout.write(pickle.dumps(atoms).hex())
-"""
-
-_FIND_ATOMS = """
-import pickle, sys
-from tvbraid.words import _atom
-atoms = pickle.loads(bytes.fromhex(sys.stdin.read()))
-table = {
-    _atom("l", 1, 2, (1, 2), -1): 0, _atom("x", 2, 1, (1,)): 1, _atom("s", 1): 2,
-    _atom("s", 2, sign=-1): 3, _atom("r", 3): 4, _atom("g", 4): 5,
-}
-print([table.get(a) for a in atoms])
-"""
-
-
-def test_pickled_atom_hash_survives_another_hash_seed():
-    def child(code, seed, stdin=""):
-        env = {**os.environ, "PYTHONHASHSEED": seed}
-        proc = subprocess.run(
-            [sys.executable, "-c", code], input=stdin, env=env,
-            capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout
-
-    found = child(_FIND_ATOMS, "2", child(_PICKLE_ATOMS, "1"))
-    assert found.strip() == "[0, 1, 2, 3, 4, 5]"
