@@ -9,10 +9,10 @@ first unit.  Relation matrices are almost empty, so rows are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 from math import gcd
 
+from ._record import FrozenRecord, Record
 from .present import Presentation
 from .words import Word, format_atom, strip_sign
 
@@ -33,12 +33,14 @@ def relation_matrix(pres: Presentation) -> list[list[int]]:
     return [_exponents(index, r.word.atoms, "relator atom") for r in pres.relators]
 
 
-@dataclass
-class SmithForm:
-    diagonal: list[int]
-    rank: int
-    right: list[list[int]]
-    cols: int
+class SmithForm(Record):
+    __slots__ = _fields = ("diagonal", "rank", "right", "cols")
+
+    def __init__(self, diagonal: list[int], rank: int, right: list[list[int]], cols: int):
+        self.diagonal = diagonal
+        self.rank = rank
+        self.right = right
+        self.cols = cols
 
 
 def smith_normal_form(matrix) -> SmithForm:
@@ -149,10 +151,12 @@ def smith_normal_form(matrix) -> SmithForm:
     return SmithForm([A[k][k] for k in range(rank)], rank, V, cols)
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
-    free_rank: int
-    torsion: tuple[int, ...]
+class AbelianInvariants(FrozenRecord):
+    __slots__ = _fields = ("free_rank", "torsion")
+
+    def __init__(self, free_rank: int, torsion: tuple[int, ...]):
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
 
 
 def abelian_invariants(pres: Presentation) -> AbelianInvariants:

@@ -15,7 +15,6 @@ only after every line has been processed.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -53,11 +52,18 @@ def _gather_words(args) -> list[str]:
     return [line.strip() for line in sys.stdin if line.strip()]
 
 
+def _print_json(value):
+    # json is imported here only, so a start without --json skips it
+    import json
+
+    print(json.dumps(value))
+
+
 def _emit(results, as_json: bool, text=str):
     """One line per result, or JSON: a single result bare, any other
     number of results (none included) as a list."""
     if as_json:
-        print(json.dumps(results[0] if len(results) == 1 else results))
+        _print_json(results[0] if len(results) == 1 else results)
     else:
         for r in results:
             print(text(r))
@@ -104,7 +110,7 @@ def _cmd_present(args):
     n = args.n[0]
     pres = build_presentation(args.group, n)
     if args.json:
-        print(json.dumps(presentation_dict(pres)))
+        _print_json(presentation_dict(pres))
     else:
         print(presentation_text(pres))
     return 0
@@ -114,7 +120,7 @@ def _cmd_abelianize(args):
     n = args.n[0]
     inv = abelian_invariants(build_presentation(args.group, n))
     if args.json:
-        print(json.dumps({"free_rank": inv.free_rank, "torsion": list(inv.torsion)}))
+        _print_json({"free_rank": inv.free_rank, "torsion": list(inv.torsion)})
     else:
         print(invariants_text(inv))
     return 0
@@ -134,18 +140,11 @@ def _cmd_verify(args):
         )
         return 2
     if args.json:
-        print(
-            json.dumps(
-                [
-                    {
-                        "check": r.check_id,
-                        "n": r.n,
-                        "status": r.status,
-                        "details": r.details,
-                    }
-                    for r in reports
-                ]
-            )
+        _print_json(
+            [
+                {"check": r.check_id, "n": r.n, "status": r.status, "details": r.details}
+                for r in reports
+            ]
         )
     else:
         print(format_report(reports, include_timings=args.timings))

@@ -26,6 +26,9 @@ class Permutation:
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
 
+    def __reduce__(self):
+        return Permutation, (self.images, False)
+
     @property
     def n(self) -> int:
         return len(self.images)
@@ -84,6 +87,9 @@ class FlipVector:
 
     def __setattr__(self, name, value):
         raise AttributeError("FlipVector is immutable")
+
+    def __reduce__(self):
+        return FlipVector, (self.bits, False)
 
     @property
     def n(self) -> int:
@@ -144,6 +150,9 @@ class SignedPermutation:
 
     def __setattr__(self, name, value):
         raise AttributeError("SignedPermutation is immutable")
+
+    def __reduce__(self):
+        return SignedPermutation, (self.perm, self.flips)
 
     @property
     def n(self) -> int:

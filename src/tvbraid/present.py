@@ -22,9 +22,9 @@ such as ``g1 g1`` are themselves relators and must survive storage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations, permutations
 
+from ._record import FrozenRecord
 from .conj import _bar_subsets, canonicalize_atom, conjugate_by_bars, expand_atom
 from .words import (
     Atom,
@@ -59,10 +59,12 @@ FAMILIES = (
 )
 
 
-@dataclass(frozen=True)
-class Relator:
-    rid: str
-    word: Word
+class Relator(FrozenRecord):
+    __slots__ = _fields = ("rid", "word")
+
+    def __init__(self, rid: str, word: Word):
+        object.__setattr__(self, "rid", rid)
+        object.__setattr__(self, "word", word)
 
 
 class Presentation:
@@ -77,6 +79,9 @@ class Presentation:
 
     def __setattr__(self, name, value):
         raise AttributeError("Presentation is immutable")
+
+    def __reduce__(self):
+        return Presentation, (self.family, self.n, self.generators, self.relators)
 
     def relator_keys(self) -> dict:
         """Cyclic class key -> id of the first relator in that class."""

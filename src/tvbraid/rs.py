@@ -31,10 +31,10 @@ Context names and their kernels:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import factorial
 
+from ._record import FrozenRecord, Record
 from .conj import act_gamma_set, act_sn, canonicalize_atom
 from .homs import Homomorphism, _raw_image, make_hom
 from .perms import FlipVector, Permutation, SignedPermutation, format_element
@@ -160,30 +160,51 @@ KERNEL_TABLE = {
 }
 
 
-@dataclass
-class RSContext:
-    name: str
-    n: int
-    ambient: Presentation
-    hom: Homomorphism
-    transversal: Transversal
-    registry_family: str | None
-    #: coset id -> quotient element; ids are handed out in the order walks
-    #: first reach the cosets
-    elements: list = field(default_factory=list, repr=False, compare=False)
-    #: quotient element -> coset id
-    ids: dict = field(default_factory=dict, repr=False, compare=False)
-    #: coset id -> {signed letter: (next coset id, classified atom or None,
-    #: the atom that cancels it or None)}, each cell filled the first time a
-    #: walk visits it; only s, l and x atoms have a cancelling atom
-    rows: list = field(default_factory=list, repr=False, compare=False)
-    #: signed letter -> its quotient element, filled on first use
-    letters: dict = field(default_factory=dict, repr=False, compare=False)
-    #: coset ids of the transversal words, in their order, once derived
-    rep_ids: list | None = field(default=None, repr=False, compare=False)
-    #: atoms -> derived relator, so that every derivation on this context
-    #: hands out the same relator objects
-    relators: dict = field(default_factory=dict, repr=False, compare=False)
+class RSContext(Record):
+    """A kernel's rewriting context.  Equality and the repr use the first six
+    fields; the rest are caches that the walks fill."""
+
+    _fields = ("name", "n", "ambient", "hom", "transversal", "registry_family")
+    __slots__ = _fields + ("elements", "ids", "rows", "letters", "rep_ids", "relators")
+
+    def __init__(
+        self,
+        name: str,
+        n: int,
+        ambient: Presentation,
+        hom: Homomorphism,
+        transversal: Transversal,
+        registry_family: str | None,
+        elements: list | None = None,
+        ids: dict | None = None,
+        rows: list | None = None,
+        letters: dict | None = None,
+        rep_ids: list | None = None,
+        relators: dict | None = None,
+    ):
+        self.name = name
+        self.n = n
+        self.ambient = ambient
+        self.hom = hom
+        self.transversal = transversal
+        self.registry_family = registry_family
+        #: coset id -> quotient element; ids are handed out in the order
+        #: walks first reach the cosets
+        self.elements = [] if elements is None else elements
+        #: quotient element -> coset id
+        self.ids = {} if ids is None else ids
+        #: coset id -> {signed letter: (next coset id, classified atom or
+        #: None, the atom that cancels it or None)}, each cell filled the
+        #: first time a walk visits it; only s, l and x atoms have a
+        #: cancelling atom
+        self.rows = [] if rows is None else rows
+        #: signed letter -> its quotient element, filled on first use
+        self.letters = {} if letters is None else letters
+        #: coset ids of the transversal words, in their order, once derived
+        self.rep_ids = rep_ids
+        #: atoms -> derived relator, so that every derivation on this
+        #: context hands out the same relator objects
+        self.relators = {} if relators is None else relators
 
 
 def make_context(name: str, n: int) -> RSContext:
@@ -288,10 +309,12 @@ def _cell(ctx: RSContext, cur: int, a: Atom):
     return _coset_id(ctx, nxt), c, None if c.kind in "rg" else c.inverse()
 
 
-@dataclass
-class RewriteResult:
-    word: Word
-    raw: Word
+class RewriteResult(Record):
+    __slots__ = _fields = ("word", "raw")
+
+    def __init__(self, word: Word, raw: Word):
+        self.word = word
+        self.raw = raw
 
 
 def rewrite_tau(ctx: RSContext, u: Word, start: int | None = None) -> RewriteResult:
@@ -344,12 +367,15 @@ def rewrite_tau(ctx: RSContext, u: Word, start: int | None = None) -> RewriteRes
     )
 
 
-@dataclass(frozen=True, slots=True)
-class DerivedRelator:
-    rid: str
-    word: Word
-    source_rid: str
-    conj: Word
+class DerivedRelator(FrozenRecord):
+    __slots__ = _fields = ("rid", "word", "source_rid", "conj")
+
+    def __init__(self, rid: str, word: Word, source_rid: str, conj: Word):
+        set_field = object.__setattr__
+        set_field(self, "rid", rid)
+        set_field(self, "word", word)
+        set_field(self, "source_rid", source_rid)
+        set_field(self, "conj", conj)
 
     def line(self) -> str:
         return (

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
 
+from ._record import Record
 from .abelian import (
     AbelianInvariants,
     abelian_invariants,
@@ -46,13 +46,15 @@ from .conj import check_generator_identification
 DEFAULT_SEED = 20260821
 
 
-@dataclass
-class CheckReport:
-    check_id: str
-    n: int
-    status: str
-    details: str
-    seconds: float
+class CheckReport(Record):
+    __slots__ = _fields = ("check_id", "n", "status", "details", "seconds")
+
+    def __init__(self, check_id: str, n: int, status: str, details: str, seconds: float):
+        self.check_id = check_id
+        self.n = n
+        self.status = status
+        self.details = details
+        self.seconds = seconds
 
 
 def _check_relators_vanish(n: int, seed: int):

@@ -35,7 +35,8 @@ already checked words skip the checks.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+
+from ._record import FrozenRecord
 
 KINDS = ("s", "r", "g", "l", "x")
 
@@ -58,23 +59,30 @@ class ParseError(ValueError):
     """Malformed word text or a token outside the requested alphabet."""
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
+class Atom(FrozenRecord):
     """One generator occurrence.
 
     ``j`` is None except for the paired kinds l and x.  ``deco`` is a
     strictly increasing tuple of bar-conjugator indices (paired kinds only).
     Involution kinds fold their sign to +1.  Index-range checks against a
-    rank happen at Word construction, not here.
+    rank happen at Word construction, not here.  An atom hashes as the tuple
+    of its fields and never equals a tuple.
     """
 
-    kind: str
-    i: int
-    j: int | None = None
-    deco: tuple[int, ...] = ()
-    sign: int = 1
+    __slots__ = _fields = ("kind", "i", "j", "deco", "sign")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, kind: str, i: int, j: int | None = None, deco: tuple = (), sign: int = 1
+    ):
+        set_field = object.__setattr__
+        set_field(self, "kind", kind)
+        set_field(self, "i", i)
+        set_field(self, "j", j)
+        set_field(self, "deco", deco)
+        set_field(self, "sign", sign)
+        self._check()
+
+    def _check(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown atom kind {self.kind!r}")
         if self.i < 1:
@@ -99,6 +107,26 @@ class Atom:
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
         if self.kind in _INVOLUTION and self.sign == -1:
             object.__setattr__(self, "sign", 1)
+
+    # Hand-written for speed: coset rows are dicts keyed by atoms.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.i, self.j, self.deco, self.sign) == (
+                other.kind,
+                other.i,
+                other.j,
+                other.deco,
+                other.sign,
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.i, self.j, self.deco, self.sign))
+
+    def __reduce__(self):
+        # through the atom table, so that an unpickled or copied atom is the
+        # library's atom of its value, as the coset cells' atoms must be
+        return _atom, (self.kind, self.i, self.j, self.deco, self.sign)
 
     def inverse(self) -> "Atom":
         if self.kind in _INVOLUTION:
@@ -200,6 +228,12 @@ class Word:
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
+
+    def __reduce__(self):
+        # no checks on the way back, so that a word built by the library
+        # outside the constructor's rules (a transcribed relator with a
+        # decoration outside its pair) survives too
+        return Word._trusted, (self.n, self.atoms)
 
     def __len__(self) -> int:
         return len(self.atoms)

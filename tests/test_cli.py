@@ -187,6 +187,33 @@ def test_console_entry_point():
     assert proc.stdout.strip() == ""
 
 
+_FOOTPRINT = """
+import sys
+from tvbraid.cli import main
+main(sys.argv[1:])
+watched = ("dataclasses", "inspect", "json")
+print(" ".join(m for m in watched if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize(
+    "flags, loaded", [((), ""), (("--json",), "json")], ids=["text", "json"]
+)
+def test_cold_start_import_footprint(flags, loaded):
+    """A CLI start loads neither dataclasses nor inspect, and json only for
+    --json output."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, "normalize", "-n", "3", *flags, "s1"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result, watched = proc.stdout.splitlines()
+    assert result == ('"s1"' if flags else "s1")
+    assert watched == loaded
+
+
 def test_rank_range_only_for_verify(capsys):
     code, out, _ = run_cli(capsys, "verify", "--check", "relators-vanish", "-n", "2..3")
     assert code == 0

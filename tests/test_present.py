@@ -86,15 +86,15 @@ def test_orbits_conjugate_only_by_bars_on_own_strands(monkeypatch, family, n, ca
         count += 1
         return conjugate_by_bars(ks, w)
 
-    post_init = Atom.__post_init__
+    check = Atom._check
 
-    def counted_post_init(self):
+    def counted_check(self):
         nonlocal validations
         validations += 1
-        post_init(self)
+        check(self)
 
     monkeypatch.setattr("tvbraid.present.conjugate_by_bars", counted)
-    monkeypatch.setattr(Atom, "__post_init__", counted_post_init)
+    monkeypatch.setattr(Atom, "_check", counted_check)
     monkeypatch.setattr("tvbraid.words._ATOMS", {})
     build_presentation(family, n)
     assert count == calls
