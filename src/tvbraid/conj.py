@@ -2,8 +2,10 @@
 
 A decorated atom l<i>,<j>:<S> stands for the pair generator conjugated by
 the bars named in S.  Conjugation by a single bar g<k> either fixes the
-atom (k outside the pair) or toggles k's membership in the decoration;
-conjugating by the full ambient symmetric action permutes all indices.
+atom (k outside the pair) or toggles k's membership in the decoration, so
+conjugation by a set of bars toggles, in each atom's decoration, those of
+its two strands that lie in the set; conjugating by the full ambient
+symmetric action permutes all indices.
 The canonical form keeps i < j with the decoration inside {i, j}, folding
 larger-first atoms through the swap identity
 
@@ -24,15 +26,17 @@ def canonicalize_atom(a: Atom) -> Atom:
     """Fold a pair atom to its i < j canonical form via the swap identity."""
     if a.kind not in _DECORATED:
         return a
-    if a.i < a.j:
-        if any(d not in (a.i, a.j) for d in a.deco):
-            raise ValueError(f"decoration {a.deco} not inside pair ({a.i}, {a.j})")
-        return a
-    pair = {a.i, a.j}
+    i, j = a.i, a.j
+    if i < j:
+        # a decoration is strictly increasing, so these are all the subsets
+        if a.deco in ((), (i,), (j,), (i, j)):
+            return a
+        raise ValueError(f"decoration {a.deco} not inside pair ({i}, {j})")
+    pair = {i, j}
     if any(d not in pair for d in a.deco):
-        raise ValueError(f"decoration {a.deco} not inside pair ({a.i}, {a.j})")
+        raise ValueError(f"decoration {a.deco} not inside pair ({i}, {j})")
     deco = tuple(sorted(pair.symmetric_difference(a.deco)))
-    return _atom(a.kind, a.j, a.i, deco, a.sign)
+    return _atom(a.kind, j, i, deco, a.sign)
 
 
 def act_gamma(k: int, a: Atom) -> Atom:
@@ -87,8 +91,29 @@ def normalize_decorated(w: Word) -> Word:
 
 
 def conjugate_by_bars(ks, w: Word) -> Word:
-    """Conjugate a bar-free decorated word by the bar set, atom by atom."""
-    return Word._trusted(w.n, tuple(act_gamma_set(ks, a) for a in w.atoms))
+    """Conjugate a bar-free decorated word by the bar set ks, atom by atom:
+    the same as ``act_gamma_set(ks, a)`` on each atom, for distinct ks.
+
+    Each pair atom is folded to canonical form, then each of its two
+    strands in ks toggles in its decoration; bar atoms pass through.
+    """
+    bars = set(ks)
+    if not bars:
+        return w
+    out = []
+    for a in w.atoms:
+        if a.kind != "g":
+            if a.kind not in _DECORATED:
+                raise ValueError(f"act_gamma undefined for kind {a.kind!r}")
+            a = canonicalize_atom(a)
+            i, j = a.i, a.j
+            if i in bars or j in bars:
+                hi = (i in a.deco) != (i in bars)
+                hj = (j in a.deco) != (j in bars)
+                deco = (i, j) if hi and hj else (i,) if hi else (j,) if hj else ()
+                a = _atom(a.kind, i, j, deco, a.sign)
+        out.append(a)
+    return Word._trusted(w.n, tuple(out))
 
 
 def _bar_subsets(w: Word):

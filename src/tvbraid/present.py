@@ -80,6 +80,9 @@ class Presentation:
     def __setattr__(self, name, value):
         raise AttributeError("Presentation is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Presentation is immutable")
+
     def __reduce__(self):
         return Presentation, (self.family, self.n, self.generators, self.relators)
 

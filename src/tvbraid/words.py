@@ -229,6 +229,9 @@ class Word:
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Word is immutable")
+
     def __reduce__(self):
         # no checks on the way back, so that a word built by the library
         # outside the constructor's rules (a transcribed relator with a

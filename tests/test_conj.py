@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 import pytest
 
@@ -9,12 +9,19 @@ from tvbraid.conj import (
     act_sn,
     canonicalize_atom,
     check_generator_identification,
+    conjugate_by_bars,
     conjugation_orbit,
     normalize_decorated,
 )
 from tvbraid.homs import _raw_image, make_hom
 from tvbraid.perms import Permutation
-from tvbraid.present import generator_expression
+from tvbraid.present import (
+    _lambda_triples,
+    _pair_relators,
+    _x_braids,
+    build_presentation,
+    generator_expression,
+)
 from tvbraid.words import (
     Word,
     _atom,
@@ -130,6 +137,35 @@ def test_conjugation_orbit_size():
     # bars off the pair's strands add nothing at a higher rank
     orbit = conjugation_orbit(Word(5, [lam(1, 2)]))
     assert [format_word(x) for x in orbit] == ["l1,2", "l1,2:1", "l1,2:2", "l1,2:12"]
+
+
+def _base_words(family, n):
+    """The base relators whose bar orbits make up the registry, before and
+    after folding, and the registry words themselves."""
+    if family == "pln":
+        base = chain(_pair_relators(n, lam, "lambda"), _lambda_triples(n))
+    else:
+        base = chain(_pair_relators(n, xgen, "x"), _x_braids(n))
+    words = [w for _, w in base]
+    folded = [Word(n, [canonicalize_atom(a) for a in w.atoms]) for w in words]
+    return words + folded + [r.word for r in build_presentation(family, n).relators]
+
+
+@pytest.mark.parametrize("family", ["pln", "hln"])
+def test_conjugate_by_bars_is_act_gamma_atom_by_atom(family):
+    n = 4
+    subsets = [ks for m in range(n + 1) for ks in combinations(range(1, n + 1), m)]
+    for w in _base_words(family, n):
+        for ks in subsets:
+            want = tuple(act_gamma_set(ks, a) for a in w.atoms)
+            assert conjugate_by_bars(ks, w).atoms == want, (format_word(w), ks)
+
+
+def test_conjugate_by_bars_rejects_crossings():
+    for text in ("s1", "l1,2 r2", "g1 s2^-1"):
+        with pytest.raises(ValueError):
+            conjugate_by_bars([1], parse_word(text, 3))
+    assert conjugate_by_bars([1], parse_word("g1 l2,1", 3)) == parse_word("g1 l1,2:2", 3)
 
 
 def test_psi_image_constant_on_orbits():

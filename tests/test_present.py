@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from tvbraid import present
 from tvbraid.conj import conjugate_by_bars, expand_word
 from tvbraid.homs import _raw_image, make_hom
 from tvbraid.present import (
@@ -21,6 +22,7 @@ from tvbraid.words import (
     Word,
     canonical_key,
     format_word,
+    free_reduce,
     gamma,
     lam,
     parse_word,
@@ -99,6 +101,28 @@ def test_orbits_conjugate_only_by_bars_on_own_strands(monkeypatch, family, n, ca
     build_presentation(family, n)
     assert count == calls
     assert validations == ATOM_VALIDATIONS[family, n]
+
+
+def test_dedup_is_handed_reduced_words(monkeypatch):
+    """Every builder hands ``_dedup`` free-reduced words, so the
+    ``free_reduce`` inside it changes nothing."""
+    dedup = present._dedup
+    seen = 0
+
+    def checked(pairs):
+        nonlocal seen
+        pairs = list(pairs)
+        for rid, w in pairs:
+            assert w == free_reduce(w), (rid, format_word(w))
+        seen += len(pairs)
+        return dedup(pairs)
+
+    monkeypatch.setattr(present, "_dedup", checked)
+    for family in FAMILIES:
+        for n in range(2, 6):
+            pres = build_presentation(family, n)
+            eliminate_generators(pres, standard_removals(pres))
+    assert seen > 0
 
 
 def test_unknown_family():

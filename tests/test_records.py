@@ -68,9 +68,10 @@ def test_records_are_immutable():
     for record, field in frozen:
         with pytest.raises(AttributeError):
             setattr(record, field, None)
-    for record, field in frozen[:4]:
+    for record, field in frozen:
         with pytest.raises(AttributeError):
             delattr(record, field)
+        assert hasattr(record, field)
 
 
 @pytest.mark.parametrize(

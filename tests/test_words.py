@@ -258,6 +258,49 @@ def test_canonical_key_gamma_runs():
     )
 
 
+def _key_oracle(w):
+    """canonical_key by its definition: the least rotation of the word or of
+    its atom-by-atom inverse, each rotation with its runs of bars sorted.
+    Sorting each rotation's own runs reaches the same least key as sorting
+    the cyclic runs first, since a whole sorted run beats any part of it."""
+    best = ()
+    inverse = [a.inverse() for a in reversed(w.atoms)]
+    for base in (list(w.atoms), inverse):
+        for r in range(len(base)):
+            out, run = [], []
+            for a in base[r:] + base[:r] + [None]:
+                if a is not None and a.kind == "g":
+                    run.append(a)
+                    continue
+                out.extend(sorted(run, key=Atom.sort_key))
+                run = []
+                if a is not None:
+                    out.append(a)
+            cand = tuple(a.sort_key() for a in out)
+            if not best or cand < best:
+                best = cand
+    return best
+
+
+def _bar_heavy_words(n=4, max_len=10):
+    bar = st.integers(1, n).map(gamma)
+    return st.lists(
+        st.one_of(bar, bar, atom_strategy(n)), max_size=max_len
+    ).map(lambda atoms: Word(n, atoms))
+
+
+@settings(max_examples=400)
+@given(st.one_of(word_strategy(n=4, max_len=10), _bar_heavy_words()))
+def test_canonical_key_matches_its_definition(w):
+    assert canonical_key(w) == _key_oracle(w)
+
+
+def test_canonical_key_edge_words():
+    for text in ("", "g1", "g3 g1 g3 g2", "s1^-1", "r2 g1", "l2,1:12^-1 g1 x1,3:3"):
+        w = parse_word(text, 4)
+        assert canonical_key(w) == _key_oracle(w), text
+
+
 @settings(max_examples=200)
 @given(word_strategy(n=4, max_len=10))
 def test_canonical_key_distinguishes_reduced_words(w):
