@@ -2,9 +2,11 @@
 
 A record lists its fields in ``__slots__`` and writes its own ``__init__``.
 ``_fields`` names the fields that take part in equality, hashing and the
-repr, in constructor order.  Records compare, hash and print as the
-equivalent dataclasses would, without importing ``dataclasses`` (and with it
-``inspect``, ``ast``, ``dis`` and ``tokenize``) on every start.
+repr, in constructor order; slots outside ``_fields`` are caches.  Records
+compare, hash and print as the equivalent dataclasses would, without
+importing ``dataclasses`` (and with it ``inspect``, ``ast``, ``dis`` and
+``tokenize``) on every start.  A hot or printed class may write its own
+``__eq__``, ``__hash__`` and ``__repr__``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ class Record:
 class FrozenRecord(Record):
     """An immutable record, hashable by its fields.  Its ``__init__`` sets
     the fields with ``object.__setattr__``; it pickles and copies by calling
-    the constructor again with its fields, which must be all its slots."""
+    the constructor again with its fields, which rebuilds the caches."""
 
     __slots__ = ()
 

@@ -27,7 +27,7 @@ from .suite import CHECKS, DEFAULT_SEED, format_report, run_suite
 from .words import ParseError, format_word, parse_word, reduce
 
 
-def _parse_n(text: str) -> list[int]:
+def _parse_n(text: str) -> range:
     """Accept a single rank like "3" or an inclusive range like "2..4"."""
     lo, dots, hi = text.partition("..")
     error = argparse.ArgumentTypeError(f"bad rank{' range' if dots else ''} {text!r}")
@@ -37,10 +37,10 @@ def _parse_n(text: str) -> list[int]:
         raise error from None
     if start > stop or start < 1:
         raise error
-    return list(range(start, stop + 1))
+    return range(start, stop + 1)
 
 
-def _parse_n_single(text: str) -> list[int]:
+def _parse_n_single(text: str) -> range:
     if ".." in text:
         raise argparse.ArgumentTypeError("rank ranges are only accepted by verify")
     return _parse_n(text)
@@ -130,11 +130,13 @@ def _cmd_verify(args):
     checks = None if args.all else args.check
     reports = run_suite(checks=checks, n_range=args.n, seed=args.seed)
     if not reports:
+        ns = args.n
+        ranks = f"{ns[0]}..{ns[-1]}" if len(ns) > 2 else ",".join(map(str, ns))
         supported = "; ".join(
             f"{cid} n={','.join(map(str, CHECKS[cid][1]))}" for cid in checks or CHECKS
         )
         print(
-            f"error: no check runs at n={','.join(map(str, args.n))}; "
+            f"error: no check runs at n={ranks}; "
             f"supported ranks: {supported}",
             file=sys.stderr,
         )

@@ -7,13 +7,14 @@ same order, which keeps eval(u v) == eval(u) * eval(v) without reversals.
 
 from __future__ import annotations
 
+from ._record import FrozenRecord
 from .words import Word, strip_sign
 
 
-class Permutation:
+class Permutation(FrozenRecord):
     """Permutation of {1..n} in one-line notation (1-based images)."""
 
-    __slots__ = ("images",)
+    __slots__ = _fields = ("images",)
 
     def __init__(self, images, check: bool = True):
         images = tuple(images)
@@ -22,12 +23,6 @@ class Permutation:
             if sorted(images) != list(range(1, n + 1)):
                 raise ValueError(f"not a permutation of 1..{n}: {images}")
         object.__setattr__(self, "images", images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
-
-    def __reduce__(self):
-        return Permutation, (self.images, False)
 
     @property
     def n(self) -> int:
@@ -74,22 +69,16 @@ class Permutation:
         return f"Permutation({list(self.images)})"
 
 
-class FlipVector:
+class FlipVector(FrozenRecord):
     """Element of the rank-n elementary abelian bar group, as a 0/1 vector."""
 
-    __slots__ = ("bits",)
+    __slots__ = _fields = ("bits",)
 
     def __init__(self, bits, check: bool = True):
         bits = tuple(bits)
         if check and any(b not in (0, 1) for b in bits):
             raise ValueError(f"bits must be 0/1: {bits}")
         object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FlipVector is immutable")
-
-    def __reduce__(self):
-        return FlipVector, (self.bits, False)
 
     @property
     def n(self) -> int:
@@ -128,7 +117,7 @@ class FlipVector:
         return f"FlipVector({list(self.bits)})"
 
 
-class SignedPermutation:
+class SignedPermutation(FrozenRecord):
     """Pair (permutation, bar vector) modelling the extended symmetric group.
 
     The product rule moves the right factor's bars along the left factor's
@@ -140,19 +129,13 @@ class SignedPermutation:
     strand, matching r<i> g<i> == g<i+1> r<i> in the ambient group.
     """
 
-    __slots__ = ("perm", "flips")
+    __slots__ = _fields = ("perm", "flips")
 
     def __init__(self, perm: Permutation, flips: FlipVector):
         if perm.n != flips.n:
             raise ValueError("size mismatch")
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "flips", flips)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SignedPermutation is immutable")
-
-    def __reduce__(self):
-        return SignedPermutation, (self.perm, self.flips)
 
     @property
     def n(self) -> int:

@@ -67,8 +67,12 @@ class Relator(FrozenRecord):
         object.__setattr__(self, "word", word)
 
 
-class Presentation:
-    __slots__ = ("family", "n", "generators", "relators", "_keys")
+class Presentation(FrozenRecord):
+    """A group presentation, compared and hashed by its fields; ``_keys``
+    caches ``relator_keys``."""
+
+    _fields = ("family", "n", "generators", "relators")
+    __slots__ = _fields + ("_keys",)
 
     def __init__(self, family: str, n: int, generators, relators):
         object.__setattr__(self, "family", family)
@@ -76,15 +80,6 @@ class Presentation:
         object.__setattr__(self, "generators", tuple(generators))
         object.__setattr__(self, "relators", tuple(relators))
         object.__setattr__(self, "_keys", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Presentation is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Presentation is immutable")
-
-    def __reduce__(self):
-        return Presentation, (self.family, self.n, self.generators, self.relators)
 
     def relator_keys(self) -> dict:
         """Cyclic class key -> id of the first relator in that class."""
@@ -308,16 +303,15 @@ _EXPR_STYLE = {
 }
 
 
-def generator_expression(a: Atom, n: int, family: str, target: str = "ambient") -> Word:
-    """Express a pair generator (possibly decorated) as a word.
+def generator_expression(a: Atom, n: int, family: str) -> Word:
+    """Express a pair generator (possibly decorated) as a word in crossings
+    and bars.
 
-    target="ambient" rewrites down to crossings and bars, using the
-    convention the family carries: in the signed flavour the adjacent pair
-    generator is r<i> s<i>^-1 and its transpose s<i>^-1 r<i>; the unsigned
-    virtual-pure convention is r<i> s<i> and s<i> r<i>; the x flavour uses
-    s<i> and r<i> s<i> r<i>.  Distant pairs conjugate the adjacent one by a
-    descending chain of virtual crossings.  target="mid" only unwraps the
-    decoration, leaving the bare pair atom.
+    The family carries the convention: in the signed flavour the adjacent
+    pair generator is r<i> s<i>^-1 and its transpose s<i>^-1 r<i>; the
+    unsigned virtual-pure convention is r<i> s<i> and s<i> r<i>; the x
+    flavour uses s<i> and r<i> s<i> r<i>.  Distant pairs conjugate the
+    adjacent one by a descending chain of virtual crossings.
     """
     if a.kind == "g":
         return Word(n, [a], "Ambient")
@@ -328,15 +322,9 @@ def generator_expression(a: Atom, n: int, family: str, target: str = "ambient") 
         raise ValueError(f"family {family!r} has no pair-generator convention")
     if (a.kind == "x") != (style == "x"):
         raise ValueError(f"atom kind {a.kind!r} does not belong to family {family!r}")
-    if target == "mid":
-        return expand_atom(a, n)
-    if target != "ambient":
-        raise ValueError(f"unknown target {target!r}")
     if a.deco:
         bars = [gamma(k) for k in a.deco]
-        core = generator_expression(
-            _atom(a.kind, a.i, a.j, (), a.sign), n, family, "ambient"
-        )
+        core = generator_expression(_atom(a.kind, a.i, a.j, (), a.sign), n, family)
         return Word(n, tuple(reversed(bars)) + core.atoms + tuple(bars))
     i, j = (a.i, a.j) if a.i < a.j else (a.j, a.i)
     if style == "signed":

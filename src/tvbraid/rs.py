@@ -6,7 +6,7 @@ the ambient group is the map's source presentation, the target names the
 Schreier transversal of coset representative words (every prefix of a
 representative is a representative), and the pair kind names the subgroup
 generators.  Representatives are decoded from the quotient element, never
-tabulated for rewriting.  Kernel words are rewritten letter by letter: the
+tabulated.  Kernel words are rewritten letter by letter: the
 letter at position p, conjugated back by the representative of the walked
 prefix, classifies to a named subgroup generator or to nothing, and the
 collected atoms form the subgroup word.  A context numbers each coset the
@@ -78,8 +78,9 @@ class Transversal:
     ``perm-bars``: the crossing word of the permutation part followed by
     the ascending bars g<p(x)> of the flipped points x.
 
-    Every prefix of a representative is again one.  ``order`` and
-    ``table`` enumerate all cosets on first use, in a frozen order.
+    Every prefix of a representative is again one.  ``order`` lists the
+    quotient elements of all cosets on first use, in a frozen order; their
+    words come from ``lookup`` one at a time.
     """
 
     def __init__(self, hom: Homomorphism):
@@ -136,13 +137,6 @@ class Transversal:
             for mask in range(1 << n)
         ]
 
-    @cached_property
-    def table(self) -> dict:
-        return {el: self.lookup(el) for el in self.order}
-
-    def words(self):
-        return [self.table[el] for el in self.order]
-
     def __len__(self) -> int:
         perms = 1 if self.name == "bars" else factorial(self.n)
         return perms if self.name == "perm" else perms << self.n
@@ -162,7 +156,8 @@ KERNEL_TABLE = {
 
 class RSContext(Record):
     """A kernel's rewriting context.  Equality and the repr use the first six
-    fields; the rest are caches that the walks fill."""
+    fields; the rest are caches that the walks fill, each empty (or None)
+    when the context is made."""
 
     _fields = ("name", "n", "ambient", "hom", "transversal", "registry_family")
     __slots__ = _fields + ("elements", "ids", "rows", "letters", "rep_ids", "relators")
@@ -175,12 +170,6 @@ class RSContext(Record):
         hom: Homomorphism,
         transversal: Transversal,
         registry_family: str | None,
-        elements: list | None = None,
-        ids: dict | None = None,
-        rows: list | None = None,
-        letters: dict | None = None,
-        rep_ids: list | None = None,
-        relators: dict | None = None,
     ):
         self.name = name
         self.n = n
@@ -190,21 +179,21 @@ class RSContext(Record):
         self.registry_family = registry_family
         #: coset id -> quotient element; ids are handed out in the order
         #: walks first reach the cosets
-        self.elements = [] if elements is None else elements
+        self.elements = []
         #: quotient element -> coset id
-        self.ids = {} if ids is None else ids
+        self.ids = {}
         #: coset id -> {signed letter: (next coset id, classified atom or
         #: None, the atom that cancels it or None)}, each cell filled the
         #: first time a walk visits it; only s, l and x atoms have a
         #: cancelling atom
-        self.rows = [] if rows is None else rows
+        self.rows = []
         #: signed letter -> its quotient element, filled on first use
-        self.letters = {} if letters is None else letters
-        #: coset ids of the transversal words, in their order, once derived
-        self.rep_ids = rep_ids
+        self.letters = {}
+        #: coset ids of the transversal's cosets, in its order, once derived
+        self.rep_ids = None
         #: atoms -> derived relator, so that every derivation on this
         #: context hands out the same relator objects
-        self.relators = {} if relators is None else relators
+        self.relators = {}
 
 
 def make_context(name: str, n: int) -> RSContext:
@@ -390,16 +379,15 @@ def derive_relators(ctx: RSContext) -> list[DerivedRelator]:
     the cyclic class key.  The rewrite of t r t^-1 is that of r walked from
     the coset of t.  Empty rewrites and exact repeats of an earlier rewrite
     are dropped before the key is computed; each survivor keeps its
-    ambient relator and conjugator for auditing."""
-    tr = ctx.transversal
+    ambient relator and conjugator for auditing; the conjugator's word is
+    decoded only for a relator the context has not handed out before."""
     if ctx.rep_ids is None:
-        ctx.rep_ids = [_coset_id(ctx, el) for el in tr.order]
-    reps = tr.words()
+        ctx.rep_ids = [_coset_id(ctx, el) for el in ctx.transversal.order]
     out: list[DerivedRelator] = []
     seen = set()
     rewritten = set()
     for r in ctx.ambient.relators:
-        for t, c in zip(reps, ctx.rep_ids):
+        for c in ctx.rep_ids:
             w = rewrite_tau(ctx, r.word, start=c).word
             if not w.atoms or w.atoms in rewritten:
                 continue
@@ -408,8 +396,13 @@ def derive_relators(ctx: RSContext) -> list[DerivedRelator]:
             if key in seen:
                 continue
             seen.add(key)
-            d = DerivedRelator(f"d{len(out) + 1}", w, r.rid, t)
-            out.append(ctx.relators.setdefault(w.atoms, d))
+            d = ctx.relators.get(w.atoms)
+            if d is None:
+                t = ctx.transversal.lookup(ctx.elements[c])
+                d = ctx.relators[w.atoms] = DerivedRelator(
+                    f"d{len(out) + 1}", w, r.rid, t
+                )
+            out.append(d)
     return out
 
 

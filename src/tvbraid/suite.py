@@ -92,14 +92,13 @@ def _check_extended_symmetric(n: int, seed: int):
 def _check_transversal(n: int, seed: int):
     ctx = make_context("tvp", n)
     tr = ctx.transversal
-    if len(tr.table) != factorial(n):
-        return False, f"transversal size {len(tr.table)}, expected {factorial(n)}"
-    for el in tr.order:
-        w = tr.table[el]
+    reps = [tr.lookup(el) for el in tr.order]
+    if len(set(reps)) != factorial(n):
+        return False, f"transversal size {len(set(reps))}, expected {factorial(n)}"
+    for w in reps:
         for k in range(len(w.atoms)):
             prefix = Word(n, w.atoms[:k], "Ambient")
-            img = _raw_image(ctx.hom, prefix)
-            if tr.table.get(img) != prefix:
+            if tr.lookup(_raw_image(ctx.hom, prefix)) != prefix:
                 return False, (
                     f"prefix {format_word(prefix)!r} of {format_word(w)!r} "
                     "is not a representative"
@@ -109,8 +108,7 @@ def _check_transversal(n: int, seed: int):
     from .rs import classify, schreier_generator
 
     pt_hom = make_hom("phiPT", n)
-    for el in tr.order:
-        t = tr.table[el]
+    for t in reps:
         for i in range(1, n):
             c = classify(ctx, t, Atom("r", i))
             if c is not None:

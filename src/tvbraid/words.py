@@ -185,7 +185,7 @@ def xgen(i: int, j: int, deco=(), sign: int = 1) -> Atom:
     return _pair_atom("x", i, j, deco, sign)
 
 
-class Word:
+class Word(FrozenRecord):
     """Immutable atom sequence: a word is its rank and its atoms.
 
     The constructor checks the atoms against the rank and the named
@@ -193,7 +193,7 @@ class Word:
     is checked, not stored.
     """
 
-    __slots__ = ("n", "atoms")
+    __slots__ = _fields = ("n", "atoms")
 
     def __init__(self, n: int, atoms=(), alphabet: str = "Mixed"):
         if alphabet not in ALPHABETS:
@@ -226,12 +226,6 @@ class Word:
         object.__setattr__(w, "atoms", atoms)
         return w
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Word is immutable")
-
     def __reduce__(self):
         # no checks on the way back, so that a word built by the library
         # outside the constructor's rules (a transcribed relator with a
@@ -243,14 +237,6 @@ class Word:
 
     def __iter__(self):
         return iter(self.atoms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Word) and self.n == other.n and self.atoms == other.atoms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.atoms))
 
     def __mul__(self, other: "Word") -> "Word":
         return concat(self, other)

@@ -233,6 +233,20 @@ def test_verify_empty_selection_is_an_error(capsys):
     assert err.strip() == "error: no check runs at n=5,6; supported ranks: pl-to-vp n=3,4"
 
 
+def test_verify_huge_rank_range_stays_small(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--check", "derived-pl-table", "-n", "1..1000000000000"
+    )
+    assert code == 0
+    assert out.splitlines()[-1] == "1/1 checks passed"
+    code, out, err = run_cli(capsys, "verify", "--check", "pl-to-vp", "-n", "5..1000000000000")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == (
+        "error: no check runs at n=5..1000000000000; supported ranks: pl-to-vp n=3,4"
+    )
+
+
 def test_rewrite_at_rank_eight():
     proc = subprocess.run(
         [sys.executable, "-m", "tvbraid.cli", "rewrite", "--into", "pt", "-n", "8",

@@ -66,7 +66,7 @@ def test_transversal_words(kind):
     for n in (2, 3, 4, 5):
         tr = make_context(KIND_CONTEXT[kind], n).transversal
         assert tr.name == kind
-        words = [format_word(w) for w in tr.words()]
+        words = [format_word(tr.lookup(el)) for el in tr.order]
         assert words == _golden(f"transversal_{kind}_{n}.txt"), (kind, n)
 
 

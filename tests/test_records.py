@@ -7,6 +7,7 @@ import pickle
 import pytest
 
 from tvbraid.abelian import AbelianInvariants, SmithForm
+from tvbraid.perms import FlipVector, Permutation, SignedPermutation
 from tvbraid.present import Relator, build_presentation, transcribed_pl_table
 from tvbraid.rs import DerivedRelator, RewriteResult, derive_relators, make_context, rewrite_tau
 from tvbraid.suite import CheckReport
@@ -20,6 +21,12 @@ ATOMS = [
     rho(1),
     gamma(3),
     Atom("l", 1, 2, (3,)),
+]
+
+ELEMENTS = [
+    Permutation([2, 3, 1]),
+    FlipVector([1, 0, 1]),
+    SignedPermutation(Permutation([3, 1, 2]), FlipVector([0, 1, 1])),
 ]
 
 ROUND_TRIPS = {
@@ -64,6 +71,9 @@ def test_records_are_immutable():
         (AbelianInvariants(1, (2,)), "torsion"),
         (relator.word, "atoms"),
         (build_presentation("tvpn", 2), "n"),
+        (ELEMENTS[0], "images"),
+        (ELEMENTS[1], "bits"),
+        (ELEMENTS[2], "flips"),
     ]
     for record, field in frozen:
         with pytest.raises(AttributeError):
@@ -80,6 +90,7 @@ def test_records_are_immutable():
         lambda word: Relator("r1", word),
         lambda word: DerivedRelator("d1", word, "r1", Word(3)),
         lambda word: AbelianInvariants(len(word), (2, 2)),
+        lambda word: build_presentation("pln", len(word)),
     ],
 )
 def test_frozen_records_compare_and_hash_by_fields(make):
@@ -163,6 +174,15 @@ def test_words_and_presentations_round_trip(how):
         pres.relators,
     )
     assert back.relator_keys() == pres.relator_keys()
+    assert back == pres and hash(back) == hash(pres)
+
+
+@pytest.mark.parametrize("how", ROUND_TRIPS)
+def test_quotient_elements_round_trip(how):
+    for el in ELEMENTS:
+        back = ROUND_TRIPS[how](el)
+        assert back == el and hash(back) == hash(el) and repr(back) == repr(el)
+        assert type(back) is type(el)
 
 
 @pytest.mark.parametrize("how", ROUND_TRIPS)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tvbraid.conj import expand_atom
 from tvbraid.homs import _raw_image
 from tvbraid.perms import enumerate_closure
 from tvbraid.present import build_presentation, generator_expression
@@ -38,7 +39,8 @@ FROZEN_LAMBDA_3 = ["", "r2", "r2 r1", "r1", "r1 r2", "r1 r2 r1"]
 
 def test_perm_transversal_frozen_order():
     ctx = make_context("tvp", 3)
-    assert [format_word(w) for w in ctx.transversal.words()] == FROZEN_LAMBDA_3
+    tr = ctx.transversal
+    assert [format_word(tr.lookup(el)) for el in tr.order] == FROZEN_LAMBDA_3
 
 
 def test_transversal_sizes():
@@ -53,7 +55,8 @@ def test_transversal_sizes():
 def test_transversal_images_distinct():
     for name in ("tvp", "pl", "pt"):
         ctx = make_context(name, 3)
-        assert len(ctx.transversal.table) == len(ctx.transversal)
+        tr = ctx.transversal
+        assert len({tr.lookup(el) for el in tr.order}) == len(tr)
 
 
 def test_representative():
@@ -142,13 +145,14 @@ def _subgroup_atoms(ctx):
 def _expand_to_ambient(ctx, w):
     # pl and hl sit inside the mid-level groups, the others inside the full one
     family = _expansion_family(ctx.name)
-    target = "mid" if ctx.name in ("pl", "hl") else "ambient"
     atoms = []
     for a in w.atoms:
         if a.kind == "g":
             atoms.append(a)
+        elif ctx.name in ("pl", "hl"):
+            atoms.extend(expand_atom(a, ctx.n).atoms)
         else:
-            atoms.extend(generator_expression(a, ctx.n, family, target=target).atoms)
+            atoms.extend(generator_expression(a, ctx.n, family).atoms)
     return Word(ctx.n, atoms)
 
 
@@ -243,7 +247,8 @@ def test_relator_walk_from_start_coset_is_conjugate_rewrite():
     for name in sorted(KERNEL_TABLE):
         for n in (2, 3, 4):
             ctx = make_context(name, n)
-            for t in ctx.transversal.words():
+            for el in ctx.transversal.order:
+                t = ctx.transversal.lookup(el)
                 start = _coset_id(ctx, _raw_image(ctx.hom, t))
                 for r in ctx.ambient.relators:
                     conj = Word(n, t.atoms + r.word.atoms + _raw_invert_atoms(t.atoms))
