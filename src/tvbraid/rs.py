@@ -9,11 +9,11 @@ generators.  Representatives are decoded from the quotient element, never
 tabulated.  Kernel words are rewritten letter by letter: the
 letter at position p, conjugated back by the representative of the walked
 prefix, classifies to a named subgroup generator or to nothing, and the
-collected atoms form the subgroup word.  A context numbers each coset the
-first time a walk reaches it and fills each (coset id, letter) cell once
-with the next coset id, the classified atom and the atom that cancels it,
-then reads it back; the walk free-reduces as it collects, by comparing
-each atom with the cancelling atom of the one before.  The kernel
+collected atoms form the subgroup word.  A context numbers each coset and
+each signed letter when a walk first meets it, keeps the last word's letter
+ids, and fills each (coset id, letter id) cell of its list rows once with
+the next coset id, the classified atom and the atom that cancels it; the
+walk free-reduces as it collects.  The kernel
 presentation comes from walking every ambient relator from the coset of
 every representative t: that walk yields the atoms of the rewrite of
 t r t^-1, since the letters of a Schreier representative classify to
@@ -160,7 +160,8 @@ class RSContext(Record):
     when the context is made."""
 
     _fields = ("name", "n", "ambient", "hom", "transversal", "registry_family")
-    __slots__ = _fields + ("elements", "ids", "rows", "letters", "rep_ids", "relators")
+    __slots__ = _fields + ("elements", "ids", "rows", "letter_ids", "letters")
+    __slots__ += ("images", "last", "rep_ids", "relators")
 
     def __init__(
         self,
@@ -182,13 +183,17 @@ class RSContext(Record):
         self.elements = []
         #: quotient element -> coset id
         self.ids = {}
-        #: coset id -> {signed letter: (next coset id, classified atom or
-        #: None, the atom that cancels it or None)}, each cell filled the
-        #: first time a walk visits it; only s, l and x atoms have a
-        #: cancelling atom
+        #: coset id -> a list indexed by letter id of (next coset id, classified
+        #: atom or None, the s, l or x atom that cancels it or None), each
+        #: None until a walk first visits it
         self.rows = []
-        #: signed letter -> its quotient element, filled on first use
-        self.letters = {}
+        #: signed letter -> letter id, and letter id -> the letter and its
+        #: quotient element, numbered in the order walks first meet them
+        self.letter_ids = {}
+        self.letters = []
+        self.images = []
+        #: (word, its letter ids) of the last word walked
+        self.last = (None, ())
         #: coset ids of the transversal's cosets, in its order, once derived
         self.rep_ids = None
         #: atoms -> derived relator, so that every derivation on this
@@ -273,20 +278,35 @@ def _coset_id(ctx: RSContext, el) -> int:
     if i is None:
         i = ctx.ids[el] = len(ctx.elements)
         ctx.elements.append(el)
-        ctx.rows.append({})
+        ctx.rows.append([None] * len(ctx.letters))
     return i
 
 
-def _cell(ctx: RSContext, cur: int, a: Atom):
-    """Coset id after the letter a from the coset cur, the letter's
+def _letter_ids(ctx: RSContext, atoms) -> list[int]:
+    """Letter ids of the atoms; a new letter is numbered once it has an image."""
+    ids = ctx.letter_ids
+    out = []
+    for a in atoms:
+        k = ids.get(a)
+        if k is None:
+            img = _raw_image(ctx.hom, Word._trusted(ctx.n, (a,)))
+            k = ids[a] = len(ctx.letters)
+            ctx.letters.append(a)
+            ctx.images.append(img)
+            for row in ctx.rows:
+                row.append(None)
+        out.append(k)
+    return out
+
+
+def _cell(ctx: RSContext, cur: int, k: int):
+    """Coset id after the letter with id k from the coset cur, the letter's
     classified atom and the atom that cancels it: a positive letter is
     classified at the coset before it, a negative one at the coset after
     it, and the atom inherits the letter's sign."""
     el = ctx.elements[cur]
-    img = ctx.letters.get(a)
-    if img is None:
-        img = ctx.letters[a] = _raw_image(ctx.hom, Word._trusted(ctx.n, (a,)))
-    nxt = el * img
+    a = ctx.letters[k]
+    nxt = el * ctx.images[k]
     c = _classify_element(ctx, el if a.sign == 1 else nxt, strip_sign(a))
     if c is None:
         return _coset_id(ctx, nxt), None, None
@@ -299,11 +319,16 @@ def _cell(ctx: RSContext, cur: int, a: Atom):
 
 
 class RewriteResult(Record):
-    __slots__ = _fields = ("word", "raw")
+    _fields = ("word", "raw")
+    __slots__ = ("word", "_raw")
 
     def __init__(self, word: Word, raw: Word):
         self.word = word
-        self.raw = raw
+        self._raw = raw.atoms
+
+    @property
+    def raw(self) -> Word:
+        return Word._trusted(self.word.n, self._raw)
 
 
 def rewrite_tau(ctx: RSContext, u: Word, start: int | None = None) -> RewriteResult:
@@ -315,22 +340,28 @@ def rewrite_tau(ctx: RSContext, u: Word, start: int | None = None) -> RewriteRes
     alongside the freely reduced word, so squares of involution generators
     survive.
 
-    Raises ValueError when the walk does not end at its start coset: from
-    the identity, when u is not in the kernel.
+    Raises ValueError when start is not a coset id the context has
+    numbered, and when the walk does not end at its start coset: from the
+    identity, when u is not in the kernel.
     """
     if u.n != ctx.n:
         raise ValueError(f"rank mismatch: word has {u.n}, context has {ctx.n}")
     if start is None:
         start = _coset_id(ctx, ctx.hom.identity)
+    elif type(start) is not int or not 0 <= start < len(ctx.elements):
+        raise ValueError(f"start {start!r} is not a coset id of the {ctx.name} context")
+    if ctx.last[0] is not u:
+        ctx.last = (u, _letter_ids(ctx, u.atoms))
+    ids = ctx.last[1]
     rows = ctx.rows
     cur = start
     raw: list[Atom] = []
     out: list[Atom] = []
-    for a in u.atoms:
+    for k in ids:
         row = rows[cur]
-        cell = row.get(a)
+        cell = row[k]
         if cell is None:
-            cell = row[a] = _cell(ctx, cur, a)
+            cell = row[k] = _cell(ctx, cur, k)
         cur, c, inv = cell
         if c is not None:
             raw.append(c)
@@ -351,9 +382,10 @@ def rewrite_tau(ctx: RSContext, u: Word, start: int | None = None) -> RewriteRes
             f"walk from coset {format_element(ctx.elements[start])} ends at "
             f"coset {format_element(el)}"
         )
-    return RewriteResult(
-        Word._trusted(ctx.n, tuple(out)), Word._trusted(ctx.n, tuple(raw))
-    )
+    res = object.__new__(RewriteResult)
+    res.word = Word._trusted(ctx.n, tuple(out))
+    res._raw = tuple(raw)
+    return res
 
 
 class DerivedRelator(FrozenRecord):

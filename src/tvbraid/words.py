@@ -66,10 +66,11 @@ class Atom(FrozenRecord):
     strictly increasing tuple of bar-conjugator indices (paired kinds only).
     Involution kinds fold their sign to +1.  Index-range checks against a
     rank happen at Word construction, not here.  An atom hashes as the tuple
-    of its fields and never equals a tuple.
+    of its fields, computed once when it is built, and never equals a tuple.
     """
 
-    __slots__ = _fields = ("kind", "i", "j", "deco", "sign")
+    _fields = ("kind", "i", "j", "deco", "sign")
+    __slots__ = _fields + ("_hash",)
 
     def __init__(
         self, kind: str, i: int, j: int | None = None, deco: tuple = (), sign: int = 1
@@ -81,6 +82,7 @@ class Atom(FrozenRecord):
         set_field(self, "deco", deco)
         set_field(self, "sign", sign)
         self._check()
+        set_field(self, "_hash", hash((kind, i, j, deco, self.sign)))
 
     def _check(self) -> None:
         if self.kind not in KINDS:
@@ -108,7 +110,7 @@ class Atom(FrozenRecord):
         if self.kind in _INVOLUTION and self.sign == -1:
             object.__setattr__(self, "sign", 1)
 
-    # Hand-written for speed: coset rows are dicts keyed by atoms.
+    # Hand-written for speed: letter ids, map images and relator sets key on atoms.
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.kind, self.i, self.j, self.deco, self.sign) == (
@@ -121,7 +123,7 @@ class Atom(FrozenRecord):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.i, self.j, self.deco, self.sign))
+        return self._hash
 
     def __reduce__(self):
         # through the atom table, so that an unpickled or copied atom is the
@@ -358,30 +360,26 @@ def conjugate(w: Word, a: Word) -> Word:
     return Word._trusted(w.n, _cancel(inv + w.atoms + a.atoms, True))
 
 
-def _gamma_runsorted(atoms) -> tuple:
-    """Ascending-sort every maximal cyclic run of adjacent g atoms.
+def _runsorted(keys: list) -> list:
+    """Ascending-sort every maximal cyclic run of bar keys (kind order 0).
 
     Bar atoms commute with each other and square to the identity in every
     group this package presents, so reordering a run changes nothing.  Runs
-    are cyclic: the word is first rotated to start on a non-bar atom, which
+    are cyclic: the keys are first rotated to start on a non-bar atom, which
     makes the linear runs coincide with the cyclic ones.
     """
-    if not atoms:
-        return ()
-    if all(a.kind == "g" for a in atoms):
-        return tuple(sorted(atoms, key=Atom.sort_key))
-    p = next(k for k, a in enumerate(atoms) if a.kind != "g")
-    out: list[Atom] = []
-    run: list[Atom] = []
-    for a in atoms[p:] + atoms[:p]:
-        if a.kind == "g":
-            run.append(a)
-        else:
-            out.extend(sorted(run, key=Atom.sort_key))
+    p = next((k for k, key in enumerate(keys) if key[0]), None)
+    if p is None:
+        return sorted(keys)
+    out, run = [], []
+    for key in keys[p:] + keys[:p]:
+        if key[0]:
+            out += sorted(run)
+            out.append(key)
             run = []
-            out.append(a)
-    out.extend(sorted(run, key=Atom.sort_key))
-    return tuple(out)
+        else:
+            run.append(key)
+    return out + sorted(run)
 
 
 def canonical_key(w: Word) -> tuple:
@@ -392,18 +390,19 @@ def canonical_key(w: Word) -> tuple:
     order of bars inside a run get the same key.  Example: the derived
     relator ``l2,1^-1 g1 g2 l1,2 g1 g2`` and the registry form
     ``l1,2 g1 g2 l2,1^-1 g2 g1`` are cyclically equal only after the final
-    run g2 g1 is sorted to g1 g2; both produce one key.
+    run g2 g1 is sorted to g1 g2; both produce one key.  The inverse's keys
+    are the word's reversed, with s, l and x signs negated.
     """
-    best = None
-    bars = any(a.kind == "g" for a in w.atoms)
-    for base in (w.atoms, _raw_invert_atoms(w.atoms)):
-        atoms = _gamma_runsorted(base) if bars else base
-        m = len(atoms)
-        if m == 0:
-            return ()
-        keys = [a.sort_key() for a in atoms]
-        for r in range(m):
-            cand = tuple(keys[r:] + keys[:r])
-            if best is None or cand < best:
-                best = cand
-    return best
+    keys = [a.sort_key() for a in w.atoms]
+    if not keys:
+        return ()
+    inv = [k if k[0] < 2 else k[:4] + (-k[4],) for k in reversed(keys)]
+    if any(k[0] == 0 for k in keys):
+        keys, inv = _runsorted(keys), _runsorted(inv)
+    least = min(min(keys), min(inv))
+    best = keys
+    for base in (keys, inv):
+        for r, k in enumerate(base):
+            if k == least and base[r:] + base[:r] < best:
+                best = base[r:] + base[:r]
+    return tuple(best)

@@ -2,7 +2,8 @@
 
 The files under tests/golden/ hold the derived relator lines of every
 kernel context at n=2..4 and the sha256 of those lines, joined by
-newlines, at n=5, and of tvp, tvh, pl and hl at n=6, the representative
+newlines, at n=5, of tvp, tvh, pl and hl at n=6, and of tvp and tvh at
+n=7 (889 relators each), the representative
 words of every transversal kind at n=2..5, in the order the library
 produces them, the sha256 of
 every stored presentation at n=1..6, and of tvpn, tvhn, pln and hln at
@@ -49,13 +50,15 @@ def test_derived_relator_lines(name):
 
 def test_derived_relator_digests():
     want = {}
-    for golden in ("derived_n5.txt", "derived_n6.txt"):
+    for golden in ("derived_n5.txt", "derived_n6.txt", "derived_n7.txt"):
         for line in _golden(golden):
             name, n, digest = line.split()
             want[name, int(n)] = digest
-    assert set(want) == {(name, 5) for name in KERNEL_TABLE} | {
-        (name, 6) for name in ("tvp", "tvh", "pl", "hl")
-    }
+    assert set(want) == (
+        {(name, 5) for name in KERNEL_TABLE}
+        | {(name, 6) for name in ("tvp", "tvh", "pl", "hl")}
+        | {(name, 7) for name in ("tvp", "tvh")}
+    )
     for (name, n), digest in want.items():
         lines = [d.line() for d in derive_relators(make_context(name, n))]
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest, name

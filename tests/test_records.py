@@ -206,3 +206,16 @@ def test_unpickled_context_rewrites_alike():
     w = parse_word("s1 r1 g3 s2^-1 r2 g3", 3)
     assert rewrite_tau(back, w) == rewrite_tau(ctx, w)
     assert [d.line() for d in derive_relators(back)] == derived
+
+
+def test_copied_context_rewrites_alike():
+    ctx = make_context("pt", 3)
+    derived = [d.line() for d in derive_relators(ctx)]
+    # the context's last word is now its last relator, held by identity
+    back = copy.deepcopy(ctx)
+    w = parse_word("s1 r1 g3 s2^-1 r2 g3", 3)
+    assert rewrite_tau(back, w) == rewrite_tau(ctx, w)
+    for r, copied in zip(ctx.ambient.relators[-2:], back.ambient.relators[-2:]):
+        assert rewrite_tau(back, copied.word) == rewrite_tau(ctx, r.word)
+        assert rewrite_tau(back, r.word) == rewrite_tau(ctx, copied.word)
+    assert [d.line() for d in derive_relators(back)] == derived

@@ -442,6 +442,12 @@ def test_failed_rewrite_keeps_context_usable():
         rewrite_tau(ctx, parse_word("s1 r2 s2", 3))
     with pytest.raises(ValueError):
         rewrite_tau(ctx, Word(3, [Atom("s", 1), Atom("l", 1, 2)]))
+    # an out-of-domain letter is not numbered
+    letters = list(ctx.letters)
+    with pytest.raises(ValueError, match=r"^atom not in the domain of phiP: l1,2$"):
+        rewrite_tau(ctx, Word(3, [Atom("l", 1, 2)]))
+    assert ctx.letters == letters and len(ctx.images) == len(letters)
+    assert Atom("l", 1, 2) not in ctx.letter_ids
     for name, n, text, expect in FROZEN_TAU:
         if (name, n) == ("tvp", 3):
             assert format_word(rewrite_tau(ctx, parse_word(text, n)).word) == expect
@@ -452,6 +458,48 @@ def test_failed_rewrite_keeps_context_usable():
     fresh = make_context("tvp", 3)
     u = parse_word("s1 r2 s2 s2^-1 r2 s1^-1", 3)
     assert rewrite_tau(ctx, u) == rewrite_tau(fresh, u)
+
+
+def test_rewrite_rejects_unknown_start():
+    ctx = make_context("pl", 3)
+    derive_relators(ctx)
+    u = parse_word("g1 g1", 3)
+    for start in (-1, 10 ** 6):
+        with pytest.raises(ValueError, match=rf"^start {start} is not a coset id of the pl"):
+            rewrite_tau(ctx, u, start=start)
+
+
+def test_letters_numbered_after_rows_exist():
+    """Decorated letters never occur in the ambient relators, so a derive
+    leaves them unnumbered; numbering them later grows every row."""
+    ctx = make_context("pl", 3)
+    derive_relators(ctx)
+    cases = [
+        ("g1 l1,2:1 g1", "l1,2"),
+        ("l2,1:2 g2 l2,1:2^-1 g2", "l1,2:1 l1,2:12^-1"),
+    ]
+    for text, expect in cases:
+        letters = len(ctx.letters)
+        got = rewrite_tau(ctx, parse_word(text, 3))
+        assert len(ctx.letters) > letters
+        assert format_word(got.word) == expect
+        assert got == rewrite_tau(make_context("pl", 3), parse_word(text, 3))
+        assert all(len(row) == len(ctx.letters) for row in ctx.rows)
+
+
+def test_last_word_cache_follows_the_word():
+    """Equal words that are distinct objects, interleaved with another word,
+    and words dropped right after their rewrite, whose memory the next word
+    may reuse, rewrite as on a fresh context."""
+    ctx = make_context("pt", 3)
+    texts = ["s1 r1 g3 s2^-1 r2 g3", "g1 s1 r1 g1 s2 r2", "s2 r2 s1^-1 r1"]
+    fresh = make_context("pt", 3)
+    want = {text: rewrite_tau(fresh, parse_word(text, 3)) for text in texts}
+    u, twin, v = (parse_word(text, 3) for text in (texts[0], texts[0], texts[1]))
+    for w in (u, v, twin, u, v, twin):
+        assert rewrite_tau(ctx, w) == want[format_word(w)]
+    for text in texts * 3:
+        assert rewrite_tau(ctx, parse_word(text, 3)) == want[text], text
 
 
 def test_classify_rejects_non_transversal_words():
