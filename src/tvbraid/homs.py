@@ -54,7 +54,8 @@ HOM_TABLE = {
 
 
 class Homomorphism:
-    """A generator-image table with a memoized well-definedness verdict."""
+    """A generator-image table with a memoized well-definedness verdict,
+    equal to a map of the same name and rank with the same images."""
 
     def __init__(self, name, n, images, identity):
         self.name = name
@@ -64,6 +65,15 @@ class Homomorphism:
         self.identity = identity
         self._checked: bool | None = None
         self._source_pres: Presentation | None = None
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.n, self.images) == (
+                other.name,
+                other.n,
+                other.images,
+            )
+        return NotImplemented
 
     @property
     def concrete(self) -> bool:

@@ -9,11 +9,12 @@ generators.  Representatives are decoded from the quotient element, never
 tabulated.  Kernel words are rewritten letter by letter: the
 letter at position p, conjugated back by the representative of the walked
 prefix, classifies to a named subgroup generator or to nothing, and the
-collected atoms form the subgroup word.  A context numbers each coset and
-each signed letter when a walk first meets it, keeps the last word's letter
-ids, and fills each (coset id, letter id) cell of its list rows once with
-the next coset id, the classified atom and the atom that cancels it; the
-walk free-reduces as it collects.  The kernel
+collected atoms form the subgroup word.  A context numbers each coset, each
+signed letter and each classified generator when a walk first meets it,
+keeps the last word's letter ids, and fills each (coset id, letter id) cell
+of its list rows once with the next coset id, the classified generator's id
+and the id of the generator that cancels it; the walk collects generator
+ids and free-reduces them as it goes.  The kernel
 presentation comes from walking every ambient relator from the coset of
 every representative t: that walk yields the atoms of the rewrite of
 t r t^-1, since the letters of a Schreier representative classify to
@@ -43,8 +44,8 @@ from .words import (
     Atom,
     Word,
     _atom,
+    _class_key,
     _raw_invert_atoms,
-    canonical_key,
     format_atom,
     format_word,
     gamma,
@@ -137,6 +138,11 @@ class Transversal:
             for mask in range(1 << n)
         ]
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.n) == (other.name, other.n)
+        return NotImplemented
+
     def __len__(self) -> int:
         perms = 1 if self.name == "bars" else factorial(self.n)
         return perms if self.name == "perm" else perms << self.n
@@ -161,7 +167,8 @@ class RSContext(Record):
 
     _fields = ("name", "n", "ambient", "hom", "transversal", "registry_family")
     __slots__ = _fields + ("elements", "ids", "rows", "letter_ids", "letters")
-    __slots__ += ("images", "last", "rep_ids", "relators")
+    __slots__ += ("images", "gen_ids", "gens", "gen_keys", "last", "rep_ids")
+    __slots__ += ("relators",)
 
     def __init__(
         self,
@@ -183,20 +190,25 @@ class RSContext(Record):
         self.elements = []
         #: quotient element -> coset id
         self.ids = {}
-        #: coset id -> a list indexed by letter id of (next coset id, classified
-        #: atom or None, the s, l or x atom that cancels it or None), each
-        #: None until a walk first visits it
+        #: coset id -> a list indexed by letter id of (next coset id, id of
+        #: the classified generator or None, id of the s, l or x generator
+        #: that cancels it or None), each None until a walk first visits it
         self.rows = []
         #: signed letter -> letter id, and letter id -> the letter and its
         #: quotient element, numbered in the order walks first meet them
         self.letter_ids = {}
         self.letters = []
         self.images = []
+        #: classified generator -> id, and id -> the atom table's atom and its
+        #: sort key, numbered in the order cells first produce them
+        self.gen_ids = {}
+        self.gens = []
+        self.gen_keys = []
         #: (word, its letter ids) of the last word walked
         self.last = (None, ())
         #: coset ids of the transversal's cosets, in its order, once derived
         self.rep_ids = None
-        #: atoms -> derived relator, so that every derivation on this
+        #: generator ids -> derived relator, so that every derivation on this
         #: context hands out the same relator objects
         self.relators = {}
 
@@ -299,36 +311,59 @@ def _letter_ids(ctx: RSContext, atoms) -> list[int]:
     return out
 
 
+def _gen_id(ctx: RSContext, c: Atom) -> int:
+    """Id of the classified generator c, new ids counting up."""
+    g = ctx.gen_ids.get(c)
+    if g is None:
+        # the table's atom, even when the classifier hands back a parsed letter
+        c = _atom(c.kind, c.i, c.j, c.deco, c.sign)
+        g = ctx.gen_ids[c] = len(ctx.gens)
+        ctx.gens.append(c)
+        ctx.gen_keys.append(c.sort_key())
+    return g
+
+
 def _cell(ctx: RSContext, cur: int, k: int):
-    """Coset id after the letter with id k from the coset cur, the letter's
-    classified atom and the atom that cancels it: a positive letter is
-    classified at the coset before it, a negative one at the coset after
-    it, and the atom inherits the letter's sign."""
+    """Coset id after the letter with id k from the coset cur, the id of the
+    letter's classified generator and the id of the one that cancels it: a
+    positive letter is classified at the coset before it, a negative one at
+    the coset after it, and the generator inherits the letter's sign."""
     el = ctx.elements[cur]
     a = ctx.letters[k]
     nxt = el * ctx.images[k]
     c = _classify_element(ctx, el if a.sign == 1 else nxt, strip_sign(a))
     if c is None:
         return _coset_id(ctx, nxt), None, None
-    # the table's atom, even when the classifier hands back a parsed letter,
-    # so that the walk can compare atoms by identity
-    c = _atom(c.kind, c.i, c.j, c.deco, c.sign)
     if a.sign == -1:
         c = c.inverse()
-    return _coset_id(ctx, nxt), c, None if c.kind in "rg" else c.inverse()
+    g = _gen_id(ctx, c)
+    return _coset_id(ctx, nxt), g, None if c.kind in "rg" else _gen_id(ctx, c.inverse())
 
 
 class RewriteResult(Record):
+    """The freely reduced rewrite and the raw atoms of a walk, held as ids
+    into a sequence of atoms (for a walk, its context's generators) and
+    built into words when read."""
+
     _fields = ("word", "raw")
-    __slots__ = ("word", "_raw")
+    __slots__ = ("_n", "_gens", "_word", "_raw")
 
     def __init__(self, word: Word, raw: Word):
-        self.word = word
-        self._raw = raw.atoms
+        self._n = word.n
+        self._gens = word.atoms + raw.atoms
+        self._word = tuple(range(len(word.atoms)))
+        self._raw = tuple(range(len(word.atoms), len(self._gens)))
+
+    @property
+    def word(self) -> Word:
+        return Word._trusted(self._n, tuple(map(self._gens.__getitem__, self._word)))
 
     @property
     def raw(self) -> Word:
-        return Word._trusted(self.word.n, self._raw)
+        return Word._trusted(self._n, tuple(map(self._gens.__getitem__, self._raw)))
+
+    def __reduce__(self):
+        return RewriteResult, (self.word, self.raw)
 
 
 def rewrite_tau(ctx: RSContext, u: Word, start: int | None = None) -> RewriteResult:
@@ -355,8 +390,8 @@ def rewrite_tau(ctx: RSContext, u: Word, start: int | None = None) -> RewriteRes
     ids = ctx.last[1]
     rows = ctx.rows
     cur = start
-    raw: list[Atom] = []
-    out: list[Atom] = []
+    raw: list[int] = []
+    out: list[int] = []
     for k in ids:
         row = rows[cur]
         cell = row[k]
@@ -365,9 +400,8 @@ def rewrite_tau(ctx: RSContext, u: Word, start: int | None = None) -> RewriteRes
         cur, c, inv = cell
         if c is not None:
             raw.append(c)
-            # _cell stores the atom table's atoms, so identity is equality;
-            # r and g atoms have no cancelling atom
-            if out and out[-1] is inv:
+            # r and g generators have no cancelling generator
+            if out and out[-1] == inv:
                 out.pop()
             else:
                 out.append(c)
@@ -383,7 +417,9 @@ def rewrite_tau(ctx: RSContext, u: Word, start: int | None = None) -> RewriteRes
             f"coset {format_element(el)}"
         )
     res = object.__new__(RewriteResult)
-    res.word = Word._trusted(ctx.n, tuple(out))
+    res._n = ctx.n
+    res._gens = ctx.gens
+    res._word = tuple(out)
     res._raw = tuple(raw)
     return res
 
@@ -410,30 +446,31 @@ def derive_relators(ctx: RSContext) -> list[DerivedRelator]:
     conjugated by every representative t, rewritten and deduplicated up to
     the cyclic class key.  The rewrite of t r t^-1 is that of r walked from
     the coset of t.  Empty rewrites and exact repeats of an earlier rewrite
-    are dropped before the key is computed; each survivor keeps its
-    ambient relator and conjugator for auditing; the conjugator's word is
-    decoded only for a relator the context has not handed out before."""
+    are dropped, by their generator ids, before the key is computed from
+    the generators' sort keys; each survivor keeps its ambient relator and
+    conjugator for auditing; its word and the conjugator's are built only
+    for a relator the context has not handed out before."""
     if ctx.rep_ids is None:
         ctx.rep_ids = [_coset_id(ctx, el) for el in ctx.transversal.order]
     out: list[DerivedRelator] = []
     seen = set()
     rewritten = set()
+    keys = ctx.gen_keys
     for r in ctx.ambient.relators:
         for c in ctx.rep_ids:
-            w = rewrite_tau(ctx, r.word, start=c).word
-            if not w.atoms or w.atoms in rewritten:
+            ids = rewrite_tau(ctx, r.word, start=c)._word
+            if not ids or ids in rewritten:
                 continue
-            rewritten.add(w.atoms)
-            key = canonical_key(w)
+            rewritten.add(ids)
+            key = _class_key([keys[g] for g in ids])
             if key in seen:
                 continue
             seen.add(key)
-            d = ctx.relators.get(w.atoms)
+            d = ctx.relators.get(ids)
             if d is None:
+                w = Word._trusted(ctx.n, tuple(ctx.gens[g] for g in ids))
                 t = ctx.transversal.lookup(ctx.elements[c])
-                d = ctx.relators[w.atoms] = DerivedRelator(
-                    f"d{len(out) + 1}", w, r.rid, t
-                )
+                d = ctx.relators[ids] = DerivedRelator(f"d{len(out) + 1}", w, r.rid, t)
             out.append(d)
     return out
 

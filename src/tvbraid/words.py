@@ -393,7 +393,11 @@ def canonical_key(w: Word) -> tuple:
     run g2 g1 is sorted to g1 g2; both produce one key.  The inverse's keys
     are the word's reversed, with s, l and x signs negated.
     """
-    keys = [a.sort_key() for a in w.atoms]
+    return _class_key([a.sort_key() for a in w.atoms])
+
+
+def _class_key(keys: list) -> tuple:
+    """canonical_key of the word whose atoms have these sort keys."""
     if not keys:
         return ()
     inv = [k if k[0] < 2 else k[:4] + (-k[4],) for k in reversed(keys)]

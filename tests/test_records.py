@@ -147,6 +147,25 @@ def test_context_equality_ignores_its_caches():
     assert repr(ctx).startswith("RSContext(name='tvp', n=2, ambient=Presentation(")
     with pytest.raises(TypeError):
         hash(ctx)
+    # the map compares by name, rank and images, and the transversal by kind
+    # and rank, so equal contexts need not share them
+    ctx = make_context("tvp", 3)
+    assert make_context("tvp", 3) == ctx
+    assert make_context("tvp", 3) != make_context("tvh", 3)
+    assert make_context("tvp", 3) != make_context("tvp", 4)
+    derive_relators(ctx)
+    for trip in ROUND_TRIPS.values():
+        back = trip(ctx)
+        assert back == ctx and back.hom == ctx.hom and back.transversal == ctx.transversal
+        addresses = {hex(id(ctx.hom)): hex(id(back.hom))}
+        addresses[hex(id(ctx.transversal))] = hex(id(back.transversal))
+        text = repr(ctx)
+        for old, new in addresses.items():
+            text = text.replace(old, new)
+        assert repr(back) == text
+    variant = ctx.hom.replace_image(sigma(1), ctx.hom.images[rho(2)])
+    assert variant != ctx.hom
+    assert variant.replace_image(sigma(1), ctx.hom.images[sigma(1)]) == ctx.hom
 
 
 @pytest.mark.parametrize("how", ROUND_TRIPS)

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from tvbraid.conj import expand_atom
 from tvbraid.homs import _raw_image
-from tvbraid.perms import enumerate_closure
+from tvbraid import rs
+from tvbraid.perms import FlipVector, Permutation, enumerate_closure
 from tvbraid.present import build_presentation, generator_expression
 from tvbraid.rs import (
     ClassifyError,
     KERNEL_TABLE,
+    RewriteResult,
     _coset_id,
     classify,
     derive_relators,
@@ -26,6 +28,8 @@ from tvbraid.rs import (
 from tvbraid.words import (
     Atom,
     Word,
+    _atom,
+    _class_key,
     _raw_invert_atoms,
     canonical_key,
     format_word,
@@ -254,6 +258,104 @@ def test_relator_walk_from_start_coset_is_conjugate_rewrite():
                     conj = Word(n, t.atoms + r.word.atoms + _raw_invert_atoms(t.atoms))
                     got = rewrite_tau(ctx, r.word, start=start).raw
                     assert got == rewrite_tau(ctx, conj).raw, (name, n, r.rid, t)
+
+
+#: (kernel, rank) -> ambient relators x representatives: the walks of one
+#: derive, which traced benchmark runs pin as rs.conjugates_tried
+WALKS_PER_DERIVE = {("tvp", 4): 984, ("pl", 4): 1216, ("pt", 3): 912}
+
+
+def test_derive_walks_every_relator_from_every_representative(monkeypatch):
+    calls = []
+
+    def counting(ctx, u, start=None):
+        calls.append(start)
+        return rewrite_tau(ctx, u, start)
+
+    monkeypatch.setattr(rs, "rewrite_tau", counting)
+    for (name, n), walks in WALKS_PER_DERIVE.items():
+        ctx = make_context(name, n)
+        for _ in range(2):
+            calls.clear()
+            derive_relators(ctx)
+            assert len(calls) == walks, (name, n)
+            assert walks == len(ctx.ambient.relators) * len(ctx.transversal)
+
+
+def _strands(w: Word) -> list[int]:
+    """The strands that the atoms of w touch."""
+    out = set()
+    for a in w.atoms:
+        out.add(a.i)
+        if a.kind in "sr":
+            out.add(a.i + 1)
+        elif a.j is not None:
+            out.add(a.j)
+    return sorted(out)
+
+
+def _local_key(el, strands) -> tuple:
+    """The inverse of the quotient element el at the strands, with its flips
+    there."""
+    inv = el.inverse()
+    if type(inv) is FlipVector:
+        return tuple(inv.bits[x - 1] for x in strands)
+    if type(inv) is Permutation:
+        return tuple(inv(x) for x in strands)
+    return tuple((inv.perm(x), inv.flips.bits[x - 1]) for x in strands)
+
+
+#: (kernel, rank) -> distinct (relator, local key) pairs, where known
+LOCAL_PAIRS = {("tvp", 4): 724, ("pl", 4): 632, ("pt", 3): 570}
+
+
+def test_walk_depends_only_on_the_local_coset():
+    """A walk of r from the coset of t visits t q with q moving only the
+    strands S(r) that r touches, and the classifier reads the inverses of
+    those elements only there: so walks from cosets whose inverses agree on
+    S(r), flips included, give identical raw rewrites."""
+    cases = [("tvp", 4), ("tvh", 4), ("pt", 3), ("ht", 3), ("pl", 4), ("hl", 4)]
+    for name, n in cases + [("tvp", 5), ("pt", 4)]:
+        ctx = make_context(name, n)
+        walked = {}
+        for index, r in enumerate(ctx.ambient.relators):
+            strands = _strands(r.word)
+            for el in ctx.transversal.order:
+                raw = rewrite_tau(ctx, r.word, start=_coset_id(ctx, el)).raw
+                key = (index, _local_key(el, strands))
+                assert walked.setdefault(key, raw) == raw, (name, n, r.rid, el)
+        if (name, n) in LOCAL_PAIRS:
+            assert len(walked) == LOCAL_PAIRS[name, n], (name, n)
+
+
+#: kernel -> a kernel word at n=4
+KERNEL_WORDS_4 = {
+    "tvp": "s1 g4 s3 r3 g4 s1^-1 r2 s2",
+    "tvh": "s1 g3 s2^-1 g3 s3",
+    "pt": "g2 s1 r1 g2 s3^-1 r2 s2 r3",
+    "ht": "s2 g4 s3 r3 r3 g4 s1^-1",
+    "pl": "g1 l1,2 g1 l2,4:4 g4 l3,4 g4",
+    "hl": "g2 x1,2 g2 x3,4:3 g3 x2,4 g3",
+}
+
+
+def test_rewrite_result_contract():
+    """A walk's result holds generator ids: its words are built from the
+    atom table's atoms, it equals and prints as the result built from its
+    words, and the class key derive_relators computes from the generators'
+    sort keys is canonical_key."""
+    for name, text in KERNEL_WORDS_4.items():
+        ctx = make_context(name, 4)
+        res = rewrite_tau(ctx, parse_word(text, 4))
+        assert res.raw.atoms and res.word.atoms, name
+        for a in res.word.atoms + res.raw.atoms:
+            assert a is _atom(a.kind, a.i, a.j, a.deco, a.sign), (name, a)
+        rebuilt = RewriteResult(res.word, res.raw)
+        assert rebuilt == res and repr(rebuilt) == repr(res)
+        assert repr(res) == f"RewriteResult(word={res.word!r}, raw={res.raw!r})"
+        for d in derive_relators(ctx):
+            keys = [ctx.gen_keys[ctx.gen_ids[a]] for a in d.word.atoms]
+            assert _class_key(keys) == canonical_key(d.word), (name, d.rid)
 
 
 def test_walk_reduction_is_free_reduction():
