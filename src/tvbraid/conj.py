@@ -12,6 +12,10 @@ larger-first atoms through the swap identity
     l<i>,<j> == l<j>,<i> conjugated by g<j> g<i>
 
 which turns l<i>,<j>:<S> with i > j into l<j>,<i>:<{i,j} xor S>.
+
+Both actions live in ``_act``, which every other action here and the
+Schreier classifier of ``tvbraid.rs`` call; ``act_gamma`` keeps its own
+one-bar body as the reference that the tests check ``_act`` against.
 """
 
 from __future__ import annotations
@@ -52,21 +56,38 @@ def act_gamma(k: int, a: Atom) -> Atom:
     return _atom(a.kind, a.i, a.j, deco, a.sign)
 
 
-def act_gamma_set(ks, a: Atom) -> Atom:
-    for k in ks:
-        a = act_gamma(k, a)
-    return a
+def _act(atoms, bars, p: Permutation | None = None) -> tuple:
+    """The atoms conjugated by the bar set bars, then renamed by p: each
+    pair atom is folded to canonical form, its strands in bars toggle in its
+    decoration, and its indices are renamed with no second fold, so it may
+    come out larger-first.  A bar atom only moves with p; any other kind
+    raises ValueError."""
+    bars = set(bars)
+    out = []
+    for a in atoms:
+        if a.kind in _DECORATED:
+            a = canonicalize_atom(a)
+            i, j = a.i, a.j
+            if p is not None or i in bars or j in bars:
+                hi = (i in a.deco) != (i in bars)
+                hj = (j in a.deco) != (j in bars)
+                deco = (i, j) if hi and hj else (i,) if hi else (j,) if hj else ()
+                if p is not None:
+                    i, j = p(i), p(j)
+                    deco = tuple(sorted(map(p, deco)))
+                a = _atom(a.kind, i, j, deco, a.sign)
+        elif a.kind != "g":
+            raise ValueError(f"no bar or strand action on kind {a.kind!r}")
+        elif p is not None:
+            a = gamma(p(a.i))
+        out.append(a)
+    return tuple(out)
 
 
 def act_sn(p: Permutation, a: Atom) -> Atom:
     """Push a permutation of the strand indices through an atom; the result
     of a pair atom is re-canonicalized."""
-    if a.kind == "g":
-        return gamma(p(a.i))
-    if a.kind not in _DECORATED:
-        raise ValueError(f"act_sn undefined for kind {a.kind!r}")
-    moved = _atom(a.kind, p(a.i), p(a.j), tuple(sorted(p(d) for d in a.deco)), a.sign)
-    return canonicalize_atom(moved)
+    return canonicalize_atom(_act((a,), (), p)[0])
 
 
 def normalize_decorated(w: Word) -> Word:
@@ -74,46 +95,25 @@ def normalize_decorated(w: Word) -> Word:
 
     Scans left to right with a pending bar set; each decorated atom gets the
     pending conjugators applied, each bar toggles the set.  The result is
-    the decorated atoms in order followed by the remaining bars ascending.
-    Atom signs survive, since conjugation commutes with inversion.
+    the canonical decorated atoms in order, then the remaining bars
+    ascending.  Signs survive, since conjugation commutes with inversion.
     """
     pending: set[int] = set()
     out = []
     for a in w.atoms:
         if a.kind == "g":
             pending.symmetric_difference_update({a.i})
-        elif a.kind in _DECORATED:
-            out.append(act_gamma_set(pending, a))
         else:
-            raise ValueError(f"cannot normalize kind {a.kind!r}")
+            out += _act((a,), pending)
     out.extend(gamma(k) for k in sorted(pending))
     return Word._trusted(w.n, tuple(out))
 
 
 def conjugate_by_bars(ks, w: Word) -> Word:
-    """Conjugate a bar-free decorated word by the bar set ks, atom by atom:
-    the same as ``act_gamma_set(ks, a)`` on each atom, for distinct ks.
-
-    Each pair atom is folded to canonical form, then each of its two
-    strands in ks toggles in its decoration; bar atoms pass through.
-    """
-    bars = set(ks)
-    if not bars:
-        return w
-    out = []
-    for a in w.atoms:
-        if a.kind != "g":
-            if a.kind not in _DECORATED:
-                raise ValueError(f"act_gamma undefined for kind {a.kind!r}")
-            a = canonicalize_atom(a)
-            i, j = a.i, a.j
-            if i in bars or j in bars:
-                hi = (i in a.deco) != (i in bars)
-                hj = (j in a.deco) != (j in bars)
-                deco = (i, j) if hi and hj else (i,) if hi else (j,) if hj else ()
-                a = _atom(a.kind, i, j, deco, a.sign)
-        out.append(a)
-    return Word._trusted(w.n, tuple(out))
+    """Conjugate a decorated word by the bar set ks, atom by atom: each
+    pair atom comes out canonical, with its strands in ks toggled in its
+    decoration; bar atoms pass through."""
+    return Word._trusted(w.n, _act(w.atoms, ks))
 
 
 def _bar_subsets(w: Word):

@@ -36,7 +36,7 @@ from functools import cached_property
 from math import factorial
 
 from ._record import FrozenRecord, Record
-from .conj import act_gamma_set, act_sn, canonicalize_atom
+from .conj import _act, canonicalize_atom
 from .homs import Homomorphism, _raw_image, make_hom
 from .perms import FlipVector, Permutation, SignedPermutation, format_element
 from .present import Presentation
@@ -266,18 +266,15 @@ def _classify_element(ctx: RSContext, el, a: Atom):
         if kind == "g":
             return None
         if kind == pair:
-            return act_gamma_set(_bars(el), canonicalize_atom(a))
+            return _act((a,), _bars(el))[0]
     elif kind == "r" or kind == "g" and target == "perm-bars":
         return None
-    elif kind == "g":
-        return gamma(el.inverse()(a.i))
-    elif kind == "s":
-        sign = -1 if pair == "l" else 1
+    elif kind == "g" or kind == "s":
+        if kind == "s":
+            a = _atom(pair, a.i, a.i + 1, (), -1 if pair == "l" else 1)
         if target == "perm":
-            pinv = el.inverse()
-            return _atom(pair, pinv(a.i), pinv(a.i + 1), (), sign)
-        base = _atom(pair, a.i, a.i + 1, (), sign)
-        return act_sn(el.perm.inverse(), act_gamma_set(_bars(el), base))
+            return _act((a,), (), el.inverse())[0]
+        return canonicalize_atom(_act((a,), _bars(el), el.perm.inverse())[0])
     t = ctx.transversal.lookup(el)
     raise ClassifyError(
         f"no generator for column ({format_word(t)!r}, {format_atom(a)})"

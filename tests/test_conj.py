@@ -4,8 +4,8 @@ from itertools import chain, combinations, permutations
 import pytest
 
 from tvbraid.conj import (
+    _act,
     act_gamma,
-    act_gamma_set,
     act_sn,
     canonicalize_atom,
     check_generator_identification,
@@ -79,6 +79,42 @@ def test_commuting_bars():
             assert act_gamma(k, act_gamma(m, a)) == act_gamma(m, act_gamma(k, a))
 
 
+def _bar_reference(ks, a):
+    """Conjugation of a by the bar set ks, one act_gamma at a time, from
+    the canonical form of a."""
+    a = canonicalize_atom(a)
+    for k in ks:
+        a = act_gamma(k, a)
+    return a
+
+
+def test_action_matches_its_references():
+    n = 4
+    subsets = [ks for m in range(n + 1) for ks in combinations(range(1, n + 1), m)]
+    perms = [Permutation(p) for p in permutations(range(1, n + 1))]
+    atoms = [
+        _atom(kind, i, j, deco, sign)
+        for kind in ("l", "x")
+        for i, j in permutations(range(1, n + 1), 2)
+        for deco in ((), (min(i, j),), (max(i, j),), (min(i, j), max(i, j)))
+        for sign in (1, -1)
+    ]
+    for a in atoms:
+        for ks in subsets:
+            want = _bar_reference(ks, a)
+            assert _act((a,), ks) == (want,), (a, ks)
+            for p in perms:
+                (got,) = _act((a,), ks, p)
+                # renamed with no second fold
+                deco = tuple(sorted(p(d) for d in want.deco))
+                assert got == _atom(a.kind, p(want.i), p(want.j), deco, a.sign)
+                assert canonicalize_atom(got) == act_sn(p, want), (a, ks, p)
+    for p in perms:
+        assert _act((gamma(1), gamma(3)), (1, 2), p) == (gamma(p(1)), gamma(p(3)))
+    with pytest.raises(ValueError):
+        _act((_atom("s", 1),), ())
+
+
 def test_act_sn_is_an_action():
     rng = random.Random(23)
     atoms = all_decorated(4, "l")
@@ -120,6 +156,12 @@ def test_normalize_decorated_matches_raw_conjugation():
         )
 
 
+def test_normalize_decorated_folds_every_atom():
+    # g3 commutes with l2,1, so both words are the same element
+    for text in ("l2,1", "g3 l2,1 g3"):
+        assert format_word(normalize_decorated(parse_word(text, 3))) == "l1,2:12"
+
+
 def test_normalize_decorated_bar_suffix():
     nw = normalize_decorated(parse_word("g2 l1,2 g1", 3))
     kinds = [a.kind for a in nw.atoms]
@@ -157,8 +199,17 @@ def test_conjugate_by_bars_is_act_gamma_atom_by_atom(family):
     subsets = [ks for m in range(n + 1) for ks in combinations(range(1, n + 1), m)]
     for w in _base_words(family, n):
         for ks in subsets:
-            want = tuple(act_gamma_set(ks, a) for a in w.atoms)
+            want = tuple(_bar_reference(ks, a) for a in w.atoms)
             assert conjugate_by_bars(ks, w).atoms == want, (format_word(w), ks)
+
+
+def test_orbit_of_larger_first_atoms_is_the_orbit_of_their_folds():
+    words = [parse_word("l2,1:12 l1,2:1", 2)]
+    words += _base_words("pln", 4) + _base_words("hln", 4)
+    for w in words:
+        folded = Word(w.n, [canonicalize_atom(a) for a in w.atoms])
+        assert conjugation_orbit(w) == conjugation_orbit(folded), format_word(w)
+    assert len(conjugation_orbit(words[0])) == 2
 
 
 def test_conjugate_by_bars_rejects_crossings():

@@ -11,12 +11,14 @@ n=7 as well (its text followed by its JSON), and the sha256 of the Smith
 form (diagonal, rank and column transform V) of the relation matrix of
 every family at n=1..6, and of tvpn, tvhn and hln at n=7, plus one digest
 over 500 seeded random matrices up to 8x8, at most half full, with
-entries -6..6.
+entries -6..6, and the sha256 of the classification of every Schreier
+column of every kernel context at n=2..4.
 """
 
 import hashlib
 import json
 import random
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -28,8 +30,8 @@ from tvbraid.present import (
     presentation_dict,
     presentation_text,
 )
-from tvbraid.rs import KERNEL_TABLE, derive_relators, make_context
-from tvbraid.words import format_word
+from tvbraid.rs import KERNEL_TABLE, classify, derive_relators, make_context
+from tvbraid.words import _atom, format_atom, format_word
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -123,3 +125,36 @@ def test_smith_digests():
     for (family, n), digest in want.items():
         matrix = relation_matrix(build_presentation(family, n))
         assert _smith_digest([matrix]) == digest, (family, n)
+
+
+def _column_lines(name, n):
+    """One line word|column|generator (or -) per Schreier column: each
+    representative, in the transversal's order, against each positive
+    ambient generator and, on pl and hl, each decorated pair atom in both
+    index orders."""
+    ctx = make_context(name, n)
+    columns = list(ctx.ambient.generators)
+    if ctx.hom.target == "bars":
+        for i, j in permutations(range(1, n + 1), 2):
+            lo, hi = sorted((i, j))
+            for deco in ((lo,), (hi,), (lo, hi)):
+                columns.append(_atom(ctx.hom.pair_kind, i, j, deco))
+    lines = []
+    for el in ctx.transversal.order:
+        t = ctx.transversal.lookup(el)
+        for a in columns:
+            c = classify(ctx, t, a)
+            c = "-" if c is None else format_atom(c)
+            lines.append(f"{format_word(t)}|{format_atom(a)}|{c}")
+    return lines
+
+
+def test_classified_column_digests():
+    want = {}
+    for line in _golden("classified_columns.txt"):
+        name, n, digest = line.split()
+        want[name, int(n)] = digest
+    assert set(want) == {(name, n) for name in KERNEL_TABLE for n in (2, 3, 4)}
+    for (name, n), digest in want.items():
+        lines = _column_lines(name, n)
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest, (name, n)
