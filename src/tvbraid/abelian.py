@@ -14,23 +14,21 @@ from math import gcd
 
 from ._record import FrozenRecord, Record
 from .present import Presentation
-from .words import Word, format_atom, strip_sign
-
-
-def _exponents(index, atoms, what) -> list[int]:
-    e = [0] * len(index)
-    for a in atoms:
-        try:
-            e[index[strip_sign(a)]] += a.sign
-        except KeyError:
-            raise ValueError(f"{what} {format_atom(a)} is not a generator") from None
-    return e
+from .words import format_atom, strip_sign
 
 
 def relation_matrix(pres: Presentation) -> list[list[int]]:
     """Exponent-sum matrix: one row per relator, one column per generator."""
     index = {g: k for k, g in enumerate(pres.generators)}
-    return [_exponents(index, r.word.atoms, "relator atom") for r in pres.relators]
+    matrix = [[0] * len(index) for _ in pres.relators]
+    for e, r in zip(matrix, pres.relators):
+        for a in r.word.atoms:
+            try:
+                e[index[strip_sign(a)]] += a.sign
+            except KeyError:
+                msg = f"relator atom {format_atom(a)} is not a generator"
+                raise ValueError(msg) from None
+    return matrix
 
 
 class SmithForm(Record):
@@ -173,36 +171,6 @@ def invariants_text(inv: AbelianInvariants) -> str:
     parts = [f"Z^{inv.free_rank}"] if inv.free_rank else []
     parts += [f"Z_{d}^{len(list(run))}" for d, run in groupby(inv.torsion)]
     return " + ".join(parts) or "0"
-
-
-class AbelianizedGroup:
-    """Evaluator for generator words in the abelianization of a
-    presentation, with canonical coordinates.
-
-    Coordinates are the exponent vector pushed through the Smith column
-    transform, with each torsion coordinate reduced modulo its invariant
-    factor, so two words are equal in the abelianization exactly when
-    their coordinate tuples match.
-    """
-
-    def __init__(self, pres: Presentation):
-        self.pres = pres
-        self.index = {g: k for k, g in enumerate(pres.generators)}
-        self.snf = smith_normal_form(relation_matrix(pres))
-
-    def exponent_vector(self, w: Word) -> list[int]:
-        return _exponents(self.index, w.atoms, "atom")
-
-    def coordinates(self, w: Word) -> tuple[int, ...]:
-        e = self.exponent_vector(w)
-        V = self.snf.right
-        c = [sum(e[k] * V[k][j] for k in range(len(e))) for j in range(self.snf.cols)]
-        for j in range(self.snf.rank):
-            c[j] %= self.snf.diagonal[j]
-        return tuple(c)
-
-    def equal(self, u: Word, v: Word) -> bool:
-        return self.coordinates(u) == self.coordinates(v)
 
 
 def minor_gcd_invariants(matrix) -> list[int]:

@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("words", nargs="*", help="words; read from stdin when absent")
         p.add_argument("--json", action="store_true", help="print results as JSON")
 
-    p = sub.add_parser("normalize", help="reduce a word to its normal form")
+    p = sub.add_parser("normalize", help="reduced form of a word (not a normal form)")
     add_rank(p)
     add_words(p)
     p.set_defaults(fn=_cmd_normalize)

@@ -84,12 +84,6 @@ def _act(atoms, bars, p: Permutation | None = None) -> tuple:
     return tuple(out)
 
 
-def act_sn(p: Permutation, a: Atom) -> Atom:
-    """Push a permutation of the strand indices through an atom; the result
-    of a pair atom is re-canonicalized."""
-    return canonicalize_atom(_act((a,), (), p)[0])
-
-
 def normalize_decorated(w: Word) -> Word:
     """Push every bar atom to the right end, absorbing it into decorations.
 

@@ -84,16 +84,6 @@ class Homomorphism:
             self._source_pres = build_presentation(self.source_family, self.n)
         return self._source_pres
 
-    def replace_image(self, atom: Atom, value) -> "Homomorphism":
-        """Copy with one generator image overridden; the copy is unverified."""
-        if strip_sign(atom) not in self.images:
-            raise ValueError(
-                f"{format_atom(atom)} is not a generator of {self.source_family}"
-            )
-        images = dict(self.images)
-        images[strip_sign(atom)] = value
-        return Homomorphism(self.name, self.n, images, self.identity)
-
 
 def _perm_images(n, pair_kind):
     ident = Permutation.identity(n)

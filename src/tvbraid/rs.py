@@ -148,13 +148,13 @@ class Transversal:
         return perms if self.name == "perm" else perms << self.n
 
 
-#: context -> (quotient map, registry family or None); the ambient family,
+#: context -> (quotient map, registry family); the ambient family,
 #: transversal kind and subgroup generators come from the map's HOM_TABLE row
 KERNEL_TABLE = {
     "tvp": ("phiP", "tvpn"),
     "tvh": ("phiH", "tvhn"),
-    "pt": ("phiPT", None),
-    "ht": ("phiHT", None),
+    "pt": ("phiPT", "pln"),
+    "ht": ("phiHT", "hln"),
     "pl": ("psiP", "pln"),
     "hl": ("psiH", "hln"),
 }
@@ -177,7 +177,7 @@ class RSContext(Record):
         ambient: Presentation,
         hom: Homomorphism,
         transversal: Transversal,
-        registry_family: str | None,
+        registry_family: str,
     ):
         self.name = name
         self.n = n

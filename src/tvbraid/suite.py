@@ -20,7 +20,7 @@ from .abelian import (
     minor_gcd_invariants,
     smith_normal_form,
 )
-from .conj import act_gamma, conjugation_orbit
+from .conj import act_gamma, check_generator_identification, conjugation_orbit
 from .homs import _raw_image, check_well_defined, make_hom
 from .perms import FlipVector, enumerate_closure, eval_word, format_element
 from .present import (
@@ -30,7 +30,14 @@ from .present import (
     transcribed_pl_table,
     _decorated_generators,
 )
-from .rs import derive_relators, make_context, rewrite_tau, split
+from .rs import (
+    classify,
+    derive_relators,
+    make_context,
+    rewrite_tau,
+    schreier_generator,
+    split,
+)
 from .words import (
     Atom,
     Word,
@@ -41,7 +48,6 @@ from .words import (
     lam,
     parse_word,
 )
-from .conj import check_generator_identification
 
 DEFAULT_SEED = 20260821
 
@@ -105,8 +111,6 @@ def _check_transversal(n: int, seed: int):
                 )
     if n > 5:
         return True, f"{factorial(n)} distinct prefix-closed representatives"
-    from .rs import classify, schreier_generator
-
     pt_hom = make_hom("phiPT", n)
     for t in reps:
         for i in range(1, n):

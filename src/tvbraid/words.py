@@ -21,8 +21,8 @@ construction; ``r1^-1`` parses but is stored as ``r1``.  Two reduction tiers
 exist.  ``free_reduce`` cancels only adjacent inverse pairs of the
 sign-carrying kinds (s, l, x) and is what relator bookkeeping uses, since it
 keeps squares such as ``g1 g1`` intact.  ``reduce`` additionally cancels
-adjacent equal involution atoms and is the normal form for ambient
-computation.
+adjacent equal involution atoms.  Both give a reduced form, not a normal
+form: neither applies the swap identity of ``tvbraid.conj``.
 
 A word is its rank and its atoms.  Input is validated at the boundary:
 ``parse_word`` and the public ``Atom`` and ``Word`` constructors check
@@ -332,8 +332,9 @@ def free_reduce(w: Word) -> Word:
 
 
 def reduce(w: Word) -> Word:
-    """Full normal form: free reduction plus cancellation of adjacent equal
-    involution atoms (r r, g g), iterated to a fixpoint in one stack pass."""
+    """Reduced form, not a normal form: free reduction plus cancellation of
+    adjacent equal involution atoms (r r, g g), iterated to a fixpoint in one
+    stack pass; the swap identity is not applied."""
     return Word._trusted(w.n, _cancel(w.atoms, True))
 
 
@@ -350,14 +351,6 @@ def concat(u: Word, v: Word) -> Word:
     if u.n != v.n:
         raise ValueError(f"rank mismatch: {u.n} vs {v.n}")
     return Word._trusted(u.n, u.atoms + v.atoms)
-
-
-def conjugate(w: Word, a: Word) -> Word:
-    """w conjugated by a, meaning a^-1 w a, reduced."""
-    if w.n != a.n:
-        raise ValueError(f"rank mismatch: {w.n} vs {a.n}")
-    inv = _raw_invert_atoms(a.atoms)
-    return Word._trusted(w.n, _cancel(inv + w.atoms + a.atoms, True))
 
 
 def _runsorted(keys: list) -> list:

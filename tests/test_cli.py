@@ -52,6 +52,14 @@ def test_present_json(capsys):
     assert len(data["generators"]) == 4
 
 
+def test_normalize_gives_a_reduced_form_not_a_normal_form(capsys):
+    # l2,1 equals l1,2:12 by the swap identity, so this word is the
+    # identity; normalize does not apply that identity and leaves it as is
+    code, out, _ = run_cli(capsys, "normalize", "-n", "3", "l2,1 l1,2:12^-1")
+    assert code == 0
+    assert out == "l2,1 l1,2:12^-1\n"
+
+
 def test_stdin_batch(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("s1 s1^-1\ng1 g2 g1\n"))
     code, out, _ = run_cli(capsys, "normalize", "-n", "3")

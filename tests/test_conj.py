@@ -6,7 +6,6 @@ import pytest
 from tvbraid.conj import (
     _act,
     act_gamma,
-    act_sn,
     canonicalize_atom,
     check_generator_identification,
     conjugate_by_bars,
@@ -108,26 +107,30 @@ def test_action_matches_its_references():
                 # renamed with no second fold
                 deco = tuple(sorted(p(d) for d in want.deco))
                 assert got == _atom(a.kind, p(want.i), p(want.j), deco, a.sign)
-                assert canonicalize_atom(got) == act_sn(p, want), (a, ks, p)
     for p in perms:
         assert _act((gamma(1), gamma(3)), (1, 2), p) == (gamma(p(1)), gamma(p(3)))
     with pytest.raises(ValueError):
         _act((_atom("s", 1),), ())
 
 
-def test_act_sn_is_an_action():
+def _rename(p, a):
+    """The strand action of p on one atom, folded to canonical form."""
+    return canonicalize_atom(_act((a,), (), p)[0])
+
+
+def test_strand_action_is_an_action():
     rng = random.Random(23)
     atoms = all_decorated(4, "l")
     perms = [Permutation(p) for p in permutations((1, 2, 3, 4))]
     for _ in range(300):
         p, q = rng.choice(perms), rng.choice(perms)
         a = rng.choice(atoms)
-        assert act_sn(p * q, a) == act_sn(q, act_sn(p, a))
+        assert _rename(p * q, a) == _rename(q, _rename(p, a))
 
 
-def test_act_sn_on_bars():
+def test_strand_action_on_bars():
     p = Permutation((2, 3, 1))
-    assert act_sn(p, gamma(1)) == gamma(2)
+    assert _rename(p, gamma(1)) == gamma(2)
 
 
 def _to_ambient(w, family):

@@ -113,17 +113,6 @@ def test_schreier_generator_shape():
         classify(ctx, parse_word("s1", 3), Atom("s", 1))
 
 
-def _expansion_family(name):
-    return {
-        "tvp": "tvpn",
-        "tvh": "tvhn",
-        "pt": "pln",
-        "ht": "hln",
-        "pl": "pln",
-        "hl": "hln",
-    }[name]
-
-
 def _subgroup_atoms(ctx):
     # plain kernels admit bars; decorated kernels do not
     from tvbraid.words import lam, xgen
@@ -148,7 +137,6 @@ def _subgroup_atoms(ctx):
 
 def _expand_to_ambient(ctx, w):
     # pl and hl sit inside the mid-level groups, the others inside the full one
-    family = _expansion_family(ctx.name)
     atoms = []
     for a in w.atoms:
         if a.kind == "g":
@@ -156,7 +144,7 @@ def _expand_to_ambient(ctx, w):
         elif ctx.name in ("pl", "hl"):
             atoms.extend(expand_atom(a, ctx.n).atoms)
         else:
-            atoms.extend(generator_expression(a, ctx.n, family).atoms)
+            atoms.extend(generator_expression(a, ctx.n, ctx.registry_family).atoms)
     return Word(ctx.n, atoms)
 
 
@@ -223,25 +211,25 @@ def test_repeated_derivation_shares_ids_and_words():
     assert all(a is b for a, b in zip(first, again))
 
 
-#: (context, registry family, ranks); pt and ht are the kernels of
-#: TVB_n onto the signed permutations, PL_n and HL_n by TVB_n = TVP_n x| S_n
-#: and TVP_n = PL_n x| Z_2^n (likewise for H)
+#: (context, ranks); each context's registry family is its own.  pt and ht
+#: are the kernels of TVB_n onto the signed permutations, PL_n and HL_n by
+#: TVB_n = TVP_n x| S_n and TVP_n = PL_n x| Z_2^n (likewise for H)
 REGISTRY_MATCHES = [
-    ("tvp", "tvpn", (3, 4, 5)),
-    ("tvh", "tvhn", (3, 4, 5)),
-    ("pl", "pln", (3, 4, 5)),
-    ("hl", "hln", (3, 4, 5)),
-    ("pt", "pln", (2, 3, 4, 5)),
-    ("ht", "hln", (2, 3, 4, 5)),
+    ("tvp", (3, 4, 5)),
+    ("tvh", (3, 4, 5)),
+    ("pl", (3, 4, 5)),
+    ("hl", (3, 4, 5)),
+    ("pt", (2, 3, 4, 5)),
+    ("ht", (2, 3, 4, 5)),
 ]
 
 
 def test_derived_matches_registry():
-    for name, family, ranks in REGISTRY_MATCHES:
+    for name, ranks in REGISTRY_MATCHES:
         for n in ranks:
             ctx = make_context(name, n)
             derived = {canonical_key(d.word) for d in derive_relators(ctx)}
-            registry = set(build_presentation(family, n).relator_keys())
+            registry = set(build_presentation(ctx.registry_family, n).relator_keys())
             assert derived == registry, (name, n)
 
 

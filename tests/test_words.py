@@ -13,7 +13,6 @@ from tvbraid.words import (
     _atom,
     canonical_key,
     concat,
-    conjugate,
     format_atom,
     format_word,
     free_reduce,
@@ -200,13 +199,6 @@ def test_free_reduce_keeps_involution_squares():
 def test_reduce_cascades():
     assert reduce(parse_word("s1 g2 g2 s1^-1", 3)).atoms == ()
     assert reduce(parse_word("l1,2 g1 g1 l1,2^-1 g3", 3)) == parse_word("g3", 3)
-
-
-def test_conjugate():
-    w = parse_word("s1", 3)
-    a = parse_word("r2", 3)
-    assert conjugate(w, a) == parse_word("r2 s1 r2", 3)
-    assert conjugate(parse_word("g1", 3), parse_word("g1", 3)) == parse_word("g1", 3)
 
 
 def test_word_equality_ignores_alphabet():
