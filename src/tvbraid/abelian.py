@@ -5,30 +5,60 @@ deterministic: smallest nonzero absolute value in the remaining block,
 ties broken by lowest row then lowest column, so the search stops at the
 first unit.  Relation matrices are almost empty, so rows are
 ``{column: value}`` dicts without zeros.
+
+``abelian_invariants`` first eliminates on unit entries, as Havas, Holt &
+Rees ("Recognizing badly presented Z-modules", 1993) do.  Zero and
+repeated relator rows are dropped, since they do not change the row
+lattice.  A row with a +-1 in column c clears column c from every other
+row by row operations; the matrix is then that unit plus a block on the
+remaining rows and columns, so both are deleted and the rank grows by
+one.  Only what is left reaches ``smith_normal_form``.  Invariant factors
+are unique, so the answer is the full Smith form's.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import groupby
 from math import gcd
 
 from ._record import FrozenRecord, Record
 from .present import Presentation
-from .words import format_atom, strip_sign
+from .words import format_atom
+
+
+def _exponent_rows(pres: Presentation) -> list[dict[int, int]]:
+    """One ``{column: exponent sum}`` dict per relator, without zeros."""
+    signed = {}  # atom -> (column, exponent)
+    for k, g in enumerate(pres.generators):
+        signed[g] = (k, 1)
+        if (inv := g.inverse()) is not g:
+            signed[inv] = (k, -1)
+    rows = []
+    for r in pres.relators:
+        row = {}
+        for a in r.word.atoms:
+            try:
+                k, e = signed[a]
+            except KeyError:
+                msg = f"relator atom {format_atom(a)} is not a generator"
+                raise ValueError(msg) from None
+            row[k] = row.get(k, 0) + e
+        rows.append({k: v for k, v in row.items() if v})
+    return rows
+
+
+def _dense(rows: list[dict[int, int]], cols: int) -> list[list[int]]:
+    matrix = [[0] * cols for _ in rows]
+    for dense, row in zip(matrix, rows):
+        for k, v in row.items():
+            dense[k] = v
+    return matrix
 
 
 def relation_matrix(pres: Presentation) -> list[list[int]]:
     """Exponent-sum matrix: one row per relator, one column per generator."""
-    index = {g: k for k, g in enumerate(pres.generators)}
-    matrix = [[0] * len(index) for _ in pres.relators]
-    for e, r in zip(matrix, pres.relators):
-        for a in r.word.atoms:
-            try:
-                e[index[strip_sign(a)]] += a.sign
-            except KeyError:
-                msg = f"relator atom {format_atom(a)} is not a generator"
-                raise ValueError(msg) from None
-    return matrix
+    return _dense(_exponent_rows(pres), len(pres.generators))
 
 
 class SmithForm(Record):
@@ -157,10 +187,73 @@ class AbelianInvariants(FrozenRecord):
         object.__setattr__(self, "torsion", torsion)
 
 
+def _distinct(rows) -> list[dict[int, int]]:
+    """The nonzero rows in order, each once, with r and -r counted as one."""
+    seen = set()
+    out = []
+    for row in rows:
+        if not row:
+            continue
+        key = tuple(sorted(row.items()))
+        if key[0][1] < 0:
+            key = tuple((j, -v) for j, v in key)
+        if key not in seen:
+            seen.add(key)
+            out.append(row)
+    return out
+
+
+def _eliminate_units(rows: list[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
+    """Pivot on +-1 entries until no row holds one.
+
+    Returns the number of pivots and the rows left, as ``_distinct`` gives
+    them; each pivot deletes its row and column.  A row changed by a pivot
+    is tried again, since it may have gained a unit.  The pivot column is
+    the unit's column held by the fewest rows, which keeps fill-in low.
+    The input rows are not changed.
+    """
+    rows = dict(enumerate(map(dict, _distinct(rows))))
+    where = defaultdict(set)  # column -> ids of the rows holding it
+    for i, row in rows.items():
+        for j in row:
+            where[j].add(i)
+    units = 0
+    todo = sorted(rows, reverse=True)
+    while todo:
+        i = todo.pop()
+        row = rows.get(i)
+        pivots = [j for j, v in row.items() if v in (1, -1)] if row else ()
+        if not pivots:
+            continue
+        c = min(pivots, key=lambda j: len(where[j]))
+        del rows[i]
+        for j in row:
+            where[j].discard(i)
+        for k in where.pop(c):
+            other = rows[k]
+            q = other[c] * row[c]
+            for j, b in row.items():
+                if v := other.get(j, 0) - q * b:
+                    other[j] = v
+                    where[j].add(k)
+                else:
+                    del other[j]
+                    where[j].discard(k)
+            if other:
+                todo.append(k)
+            else:
+                del rows[k]
+        units += 1
+    return units, _distinct(rows[i] for i in sorted(rows))
+
+
 def abelian_invariants(pres: Presentation) -> AbelianInvariants:
-    snf = smith_normal_form(relation_matrix(pres))
+    units, rest = _eliminate_units(_exponent_rows(pres))
+    at = {j: k for k, j in enumerate(sorted({j for row in rest for j in row}))}
+    rest = [{at[j]: v for j, v in row.items()} for row in rest]
+    snf = smith_normal_form(_dense(rest, len(at)))
     return AbelianInvariants(
-        len(pres.generators) - snf.rank,
+        len(pres.generators) - units - snf.rank,
         tuple(d for d in snf.diagonal if d > 1),
     )
 

@@ -3,15 +3,18 @@ from fractions import Fraction
 
 import pytest
 
+import tvbraid.abelian
 from tvbraid.abelian import (
     AbelianInvariants,
+    _dense,
+    _eliminate_units,
     abelian_invariants,
     invariants_text,
     minor_gcd_invariants,
     relation_matrix,
     smith_normal_form,
 )
-from tvbraid.present import build_presentation
+from tvbraid.present import FAMILIES, build_presentation
 
 
 def test_frozen_smith_form():
@@ -132,6 +135,15 @@ FROZEN_INVARIANTS = {
     ("hln", 5): "Z^1",
     ("hln", 6): "Z^1",
     ("hln", 7): "Z^1",
+    # closed forms Z^{n(n-1)/2} + Z_2^n and Z + Z_2^n, and 2n(n-1) for pln
+    ("tvpn", 6): "Z^15 + Z_2^6",
+    ("tvpn", 7): "Z^21 + Z_2^7",
+    ("tvpn", 8): "Z^28 + Z_2^8",
+    ("tvhn", 6): "Z^1 + Z_2^6",
+    ("tvhn", 7): "Z^1 + Z_2^7",
+    ("tvhn", 8): "Z^1 + Z_2^8",
+    ("pln", 8): "Z^112",
+    ("hln", 8): "Z^1",
 }
 
 
@@ -169,3 +181,77 @@ def test_relation_matrix_shape():
                 build_presentation("an", 3).relators,
             )
         )
+
+
+def _snf_invariants(pres):
+    """The invariants read off the full Smith form of the relation matrix."""
+    snf = smith_normal_form(relation_matrix(pres))
+    return AbelianInvariants(
+        len(pres.generators) - snf.rank, tuple(d for d in snf.diagonal if d > 1)
+    )
+
+
+def test_invariants_match_the_full_smith_form():
+    for family in FAMILIES:
+        for n in range(1, 7 if family in ("pln", "hln") else 6):
+            pres = build_presentation(family, n)
+            assert abelian_invariants(pres) == _snf_invariants(pres), (family, n)
+
+
+def _random_rows(rng, rows, cols, values):
+    return [
+        {j: rng.choice(values) for j in range(cols) if rng.random() < 0.4}
+        for _ in range(rows)
+    ]
+
+
+def test_unit_elimination_matches_the_smith_form():
+    rng = random.Random(31)
+    units_seen = 0
+    for trial in range(600):
+        values = (-3, -2, -1, 1, 2, 3) if trial % 2 else (-6, -4, -3, -2, 2, 3, 4, 6)
+        rows, cols = rng.randint(0, 7), rng.randint(1, 6)
+        sparse = _random_rows(rng, rows, cols, values)
+        before = [dict(row) for row in sparse]
+        units, rest = _eliminate_units(sparse)
+        assert sparse == before
+        units_seen += units
+        assert all(rest) and all(v for row in rest for v in row.values())
+        assert all(abs(v) != 1 for row in rest for v in row.values())
+        left = smith_normal_form(_dense(rest, cols))
+        full = smith_normal_form(_dense(sparse, cols))
+        assert [1] * units + left.diagonal == full.diagonal, sparse
+        assert units + left.rank == full.rank, sparse
+        if rows <= 4 and cols <= 4:
+            assert full.diagonal == minor_gcd_invariants(_dense(sparse, cols)), sparse
+    assert units_seen > 0
+
+
+def test_repeated_and_negated_rows_are_dropped():
+    units, rest = _eliminate_units([{0: 2, 1: 4}, {}, {0: -2, 1: -4}, {0: 2, 1: 4}])
+    assert (units, rest) == (0, [{0: 2, 1: 4}])
+    units, rest = _eliminate_units([{0: 1, 1: 2}, {0: 3, 1: 2}, {1: 4}])
+    assert (units, rest) == (1, [{1: -4}])
+
+
+def _smith_inputs(monkeypatch, family, n):
+    seen = []
+
+    def recording(matrix):
+        seen.append(matrix)
+        return smith_normal_form(matrix)
+
+    monkeypatch.setattr(tvbraid.abelian, "smith_normal_form", recording)
+    abelian_invariants(build_presentation(family, n))
+    monkeypatch.undo()
+    assert len(seen) == 1
+    return seen[0]
+
+
+def test_unit_pivots_leave_the_smith_form_little_work(monkeypatch):
+    for family in ("pln", "hln"):
+        for n in (5, 6):
+            assert _smith_inputs(monkeypatch, family, n) == [], (family, n)
+    for family in ("tvpn", "tvhn"):
+        matrix = _smith_inputs(monkeypatch, family, 5)
+        assert matrix and all(len(row) <= 5 for row in matrix), family
