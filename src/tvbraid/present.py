@@ -235,9 +235,22 @@ def _orbit_relators(n, base_pairs):
     the decorated alphabet.  Bar sets run over the relator's own strands
     in ascending bitmask order, which makes the registry order
     deterministic.
+
+    A base relator whose folded word lies in the cyclic class of an
+    earlier one is skipped.  Bar conjugation acts atom by atom, so it
+    commutes with rotation and inversion, and a rotation or inverse of a
+    word touches the same strands and so has the same bar sets; each
+    conjugate of the skipped relator therefore lies in the class of a
+    conjugate already yielded, and ``_dedup`` would drop it.  The folded
+    words are free-reduced already, so their keys need no reduction.
     """
+    expanded = set()
     for rid, w in base_pairs:
         folded = _word(n, [canonicalize_atom(a) for a in w.atoms])
+        key = canonical_key(folded)
+        if key in expanded:
+            continue
+        expanded.add(key)
         for ks in _bar_subsets(folded):
             deco = "".join(str(k) for k in ks)
             yield f"{rid}|S={deco or '0'}", conjugate_by_bars(ks, folded)

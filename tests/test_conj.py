@@ -2,9 +2,12 @@ import random
 from itertools import chain, combinations, permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tvbraid.conj import (
     _act,
+    _bar_subsets,
     act_gamma,
     canonicalize_atom,
     check_generator_identification,
@@ -24,6 +27,7 @@ from tvbraid.present import (
 from tvbraid.words import (
     Word,
     _atom,
+    _raw_invert_atoms,
     canonical_key,
     format_word,
     free_reduce,
@@ -213,6 +217,32 @@ def test_orbit_of_larger_first_atoms_is_the_orbit_of_their_folds():
         folded = Word(w.n, [canonicalize_atom(a) for a in w.atoms])
         assert conjugation_orbit(w) == conjugation_orbit(folded), format_word(w)
     assert len(conjugation_orbit(words[0])) == 2
+
+
+def _pair_atoms():
+    """Signed decorated pair atoms at n=6, larger-first ones included."""
+    return st.tuples(
+        st.sampled_from(["l", "x"]),
+        st.sampled_from(list(permutations(range(1, 7), 2))),
+        st.sampled_from([(), (0,), (1,), (0, 1)]),
+        st.sampled_from([1, -1]),
+    ).map(lambda t: _atom(t[0], *t[1], tuple(sorted(t[1][b] for b in t[2])), t[3]))
+
+
+def _orbit_keys(w):
+    return {canonical_key(conjugate_by_bars(ks, w)) for ks in _bar_subsets(w)}
+
+
+@given(st.lists(_pair_atoms(), min_size=1, max_size=8), st.integers(0, 7), st.booleans())
+def test_rotations_and_inverses_share_the_bar_orbit(atoms, shift, inverted):
+    """The bar orbit of a rotation or inverse of w is the orbit of w class by
+    class: so one base relator per cyclic class expands the whole registry."""
+    w = Word(6, atoms)
+    shift %= len(atoms)
+    moved = tuple(atoms[shift:] + atoms[:shift])
+    if inverted:
+        moved = _raw_invert_atoms(moved)
+    assert _orbit_keys(Word(6, moved)) == _orbit_keys(w)
 
 
 def test_conjugate_by_bars_rejects_crossings():

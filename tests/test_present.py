@@ -76,10 +76,11 @@ ATOM_VALIDATIONS = {("pln", 4): 70, ("pln", 5): 113, ("hln", 5): 113}
 
 
 @pytest.mark.parametrize(
-    "family, n, calls", [("pln", 4, 576), ("pln", 5, 2400), ("hln", 5, 2400)]
+    "family, n, calls", [("pln", 4, 384), ("pln", 5, 1440), ("hln", 5, 1440)]
 )
 def test_orbits_conjugate_only_by_bars_on_own_strands(monkeypatch, family, n, calls):
-    # 2^|strands| bar sets per base relator: 16 per commutator, 8 per triple
+    # 2^|strands| bar sets per distinct base class: 16 per commutator class,
+    # 8 per triple class
     count = 0
     validations = 0
 

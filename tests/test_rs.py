@@ -316,6 +316,55 @@ def test_walk_depends_only_on_the_local_coset():
             assert len(walked) == LOCAL_PAIRS[name, n], (name, n)
 
 
+def _shape(w: Word) -> tuple:
+    """The atoms of w as (kind, i, j, deco, sign) with the strands that w
+    touches renumbered 0, 1, ... in increasing order."""
+    rank = {x: b for b, x in enumerate(_strands(w))}.get
+    return tuple(
+        (a.kind, rank(a.i), rank(a.j), tuple(map(rank, a.deco)), a.sign)
+        for a in w.atoms
+    )
+
+
+def _rewrites_outside_first_of_shape(ctx) -> int:
+    """Rewrites, as generator ids, of ambient relators walked from every
+    representative that the first relator of their shape never gives."""
+    reps = [_coset_id(ctx, el) for el in ctx.transversal.order]
+    first: dict[tuple, set] = {}
+    missed = 0
+    for r in ctx.ambient.relators:
+        rewrites = {rewrite_tau(ctx, r.word, start=c)._word for c in reps}
+        shape = _shape(r.word)
+        if shape in first:
+            missed += len(rewrites - first[shape])
+        else:
+            first[shape] = rewrites
+    return missed
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [(name, n) for name in ("tvp", "tvh") for n in range(2, 6)]
+    + [(name, n) for name in ("pt", "ht") for n in range(2, 5)],
+)
+def test_perm_targets_repeat_the_first_relator_of_each_shape(name, n):
+    """Under a perm or perm-bars target, the classifier names a generator by
+    the values of t^-1 on a column's strands, never by the strands: so each
+    ambient relator's rewrites, from every representative, are exact
+    repeats of those of the first relator of its shape."""
+    ctx = make_context(name, n)
+    assert ctx.transversal.name in ("perm", "perm-bars")
+    assert _rewrites_outside_first_of_shape(ctx) == 0
+
+
+def test_bars_target_names_absolute_strands():
+    """Under the bars target a rewrite names the relator's own strands, so
+    relators of one shape give new rewrites."""
+    ctx = make_context("pl", 4)
+    assert ctx.transversal.name == "bars"
+    assert _rewrites_outside_first_of_shape(ctx) > 0
+
+
 #: kernel -> a kernel word at n=4
 KERNEL_WORDS_4 = {
     "tvp": "s1 g4 s3 r3 g4 s1^-1 r2 s2",
