@@ -18,7 +18,10 @@ ids and free-reduces them as it goes.  The kernel
 presentation comes from walking every ambient relator from the coset of
 every representative t: that walk yields the atoms of the rewrite of
 t r t^-1, since the letters of a Schreier representative classify to
-nothing.
+nothing.  Those rewrites are deduplicated up to cyclic class on generator
+ids alone: each class is keyed by the least rotations of its word and of
+its inverse, with bar runs sorted by id, and any fixed order of the ids
+gives the classes of ``canonical_key``.
 
 Context names and their kernels:
 
@@ -33,6 +36,7 @@ Context names and their kernels:
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain, groupby
 from math import factorial
 
 from ._record import FrozenRecord, Record
@@ -44,7 +48,6 @@ from .words import (
     Atom,
     Word,
     _atom,
-    _class_key,
     _raw_invert_atoms,
     format_atom,
     format_word,
@@ -167,7 +170,7 @@ class RSContext(Record):
 
     _fields = ("name", "n", "ambient", "hom", "transversal", "registry_family")
     __slots__ = _fields + ("elements", "ids", "rows", "letter_ids", "letters")
-    __slots__ += ("images", "gen_ids", "gens", "gen_keys", "last", "rep_ids")
+    __slots__ += ("images", "gen_ids", "gens", "last", "rep_ids")
     __slots__ += ("relators",)
 
     def __init__(
@@ -199,11 +202,10 @@ class RSContext(Record):
         self.letter_ids = {}
         self.letters = []
         self.images = []
-        #: classified generator -> id, and id -> the atom table's atom and its
-        #: sort key, numbered in the order cells first produce them
+        #: classified generator -> id, and id -> the atom table's atom,
+        #: numbered in the order cells first produce them
         self.gen_ids = {}
         self.gens = []
-        self.gen_keys = []
         #: (word, its letter ids) of the last word walked
         self.last = (None, ())
         #: coset ids of the transversal's cosets, in its order, once derived
@@ -316,7 +318,6 @@ def _gen_id(ctx: RSContext, c: Atom) -> int:
         c = _atom(c.kind, c.i, c.j, c.deco, c.sign)
         g = ctx.gen_ids[c] = len(ctx.gens)
         ctx.gens.append(c)
-        ctx.gen_keys.append(c.sort_key())
     return g
 
 
@@ -438,31 +439,70 @@ class DerivedRelator(FrozenRecord):
         )
 
 
+def _cyclic_key(ids: tuple, bars: set) -> tuple:
+    """Least rotation of a word of generator ids once each cyclic run of bar
+    ids is sorted: bars commute, so the key names the word up to rotation
+    and the order within bar runs."""
+    if not bars.isdisjoint(ids):
+        p = next((k for k, g in enumerate(ids) if g not in bars), 0)
+        runs = groupby(ids[p:] + ids[:p], bars.__contains__)
+        ids = tuple(chain.from_iterable(sorted(g) if bar else g for bar, g in runs))
+    m = min(ids)
+    p = ids.index(m)
+    if ids.count(m) == 1:
+        return ids[p:] + ids[:p]
+    twice = ids + ids
+    return min(twice[k : k + len(ids)] for k in range(p, len(ids)) if ids[k] == m)
+
+
+class _ClassIndex(dict):
+    """Nonempty rewrite, as generator ids -> number of its cyclic class,
+    counted from 0 as classes are met.  A class is a word up to rotation,
+    inversion and the order of bars within a run, as for ``canonical_key``.
+    A new class enters under the cyclic keys of its first word and of that
+    word's inverse, and with the inverse itself, and every rewrite met
+    enters too: an exact repeat costs one lookup, any other rewrite a key
+    and a second lookup."""
+
+    __slots__ = ("ctx", "inv", "bars", "count")
+
+    def __init__(self, ctx: RSContext):
+        self.ctx, self.inv, self.bars, self.count = ctx, [], set(), 0
+
+    def __missing__(self, ids: tuple) -> int:
+        gens, inv, bars = self.ctx.gens, self.inv, self.bars
+        for g in range(len(inv), len(gens)):  # generators new since the last miss
+            inv.append(self.ctx.gen_ids[gens[g].inverse()])
+            if gens[g].kind == "g":
+                bars.add(g)
+        key = _cyclic_key(ids, bars)
+        if key not in self:
+            back = tuple(map(inv.__getitem__, reversed(ids)))
+            self[back] = self[_cyclic_key(back, bars)] = self[key] = self.count
+            self.count += 1
+        k = self[ids] = self[key]
+        return k
+
+
 def derive_relators(ctx: RSContext) -> list[DerivedRelator]:
     """Presentation relators of the kernel: every ambient relator r,
     conjugated by every representative t, rewritten and deduplicated up to
-    the cyclic class key.  The rewrite of t r t^-1 is that of r walked from
-    the coset of t.  Empty rewrites and exact repeats of an earlier rewrite
-    are dropped, by their generator ids, before the key is computed from
-    the generators' sort keys; each survivor keeps its ambient relator and
-    conjugator for auditing; its word and the conjugator's are built only
-    for a relator the context has not handed out before."""
+    cyclic class.  The rewrite of t r t^-1 is that of r walked from the
+    coset of t.  Empty rewrites are dropped, and a rewrite is kept only when
+    it opens a new class of the derive's own ``_ClassIndex``, which works on
+    generator ids and keeps nothing after the derive; each survivor keeps
+    its ambient relator and conjugator for auditing; its word and the
+    conjugator's are built only for a relator the context has not handed
+    out before."""
     if ctx.rep_ids is None:
         ctx.rep_ids = [_coset_id(ctx, el) for el in ctx.transversal.order]
     out: list[DerivedRelator] = []
-    seen = set()
-    rewritten = set()
-    keys = ctx.gen_keys
+    index = _ClassIndex(ctx)
     for r in ctx.ambient.relators:
         for c in ctx.rep_ids:
             ids = rewrite_tau(ctx, r.word, start=c)._word
-            if not ids or ids in rewritten:
+            if not ids or index[ids] < len(out):
                 continue
-            rewritten.add(ids)
-            key = _class_key([keys[g] for g in ids])
-            if key in seen:
-                continue
-            seen.add(key)
             d = ctx.relators.get(ids)
             if d is None:
                 w = Word._trusted(ctx.n, tuple(ctx.gens[g] for g in ids))

@@ -1,5 +1,6 @@
 import random
 from functools import lru_cache
+from itertools import groupby
 from math import factorial
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from tvbraid.rs import (
     ClassifyError,
     KERNEL_TABLE,
     RewriteResult,
+    _ClassIndex,
     _coset_id,
     classify,
     derive_relators,
@@ -29,7 +31,6 @@ from tvbraid.words import (
     Atom,
     Word,
     _atom,
-    _class_key,
     _raw_invert_atoms,
     canonical_key,
     format_word,
@@ -378,9 +379,8 @@ KERNEL_WORDS_4 = {
 
 def test_rewrite_result_contract():
     """A walk's result holds generator ids: its words are built from the
-    atom table's atoms, it equals and prints as the result built from its
-    words, and the class key derive_relators computes from the generators'
-    sort keys is canonical_key."""
+    atom table's atoms, and it equals and prints as the result built from
+    its words."""
     for name, text in KERNEL_WORDS_4.items():
         ctx = make_context(name, 4)
         res = rewrite_tau(ctx, parse_word(text, 4))
@@ -390,9 +390,48 @@ def test_rewrite_result_contract():
         rebuilt = RewriteResult(res.word, res.raw)
         assert rebuilt == res and repr(rebuilt) == repr(res)
         assert repr(res) == f"RewriteResult(word={res.word!r}, raw={res.raw!r})"
-        for d in derive_relators(ctx):
-            keys = [ctx.gen_keys[ctx.gen_ids[a]] for a in d.word.atoms]
-            assert _class_key(keys) == canonical_key(d.word), (name, d.rid)
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [(name, n) for name in ("tvp", "tvh") for n in range(2, 6)]
+    + [(name, n) for name in ("pl", "hl", "pt", "ht") for n in range(2, 5)],
+)
+def test_class_index_partitions_like_canonical_key(name, n):
+    """Over every distinct nonempty rewrite of every relator from every
+    representative, with each one's rotation by one letter, its inverse and
+    its runs of bars reversed, two words share a class of the id-level
+    index exactly when their canonical_key agrees, in walk order and in
+    reverse; classes are numbered 0, 1, ... as they are met."""
+    ctx = make_context(name, n)
+    starts = [_coset_id(ctx, el) for el in ctx.transversal.order]
+    words = []
+    for r in ctx.ambient.relators:
+        for ids in filter(None, (rewrite_tau(ctx, r.word, start=c)._word for c in starts)):
+            back = tuple(ctx.gen_ids[ctx.gens[g].inverse()] for g in reversed(ids))
+            runs = groupby(ids, lambda g: ctx.gens[g].kind == "g")
+            shuffled = tuple(g for bar, run in runs for g in (list(run)[::-1] if bar else run))
+            words += [ids, ids[1:] + ids[:1], back, shuffled]
+    words = list(dict.fromkeys(words))
+    key = {w: canonical_key(Word._trusted(n, tuple(ctx.gens[g] for g in w))) for w in words}
+    for order in (words, words[::-1]):
+        index = _ClassIndex(ctx)
+        numbers = [index[ids] for ids in order]
+        met = list(dict.fromkeys(numbers))
+        assert met == list(range(len(met))), (name, n)
+        pairs = set(zip(numbers, map(key.get, order)))
+        assert len(pairs) == len(met) == len(set(key.values())), (name, n)
+
+
+@pytest.mark.parametrize("name", ("tvp", "tvh", "pl", "pt"))
+def test_derive_does_not_depend_on_generator_id_order(name):
+    """A context that first rewrote an unrelated kernel word numbers its
+    generators in another order, and derives the same relator lines."""
+    fresh, warm = make_context(name, 4), make_context(name, 4)
+    rewrite_tau(warm, parse_word(KERNEL_WORDS_4[name], 4))
+    lines = [d.line() for d in derive_relators(warm)]
+    assert lines == [d.line() for d in derive_relators(fresh)]
+    assert warm.gens != fresh.gens and set(warm.gens) == set(fresh.gens)
 
 
 def test_walk_reduction_is_free_reduction():
