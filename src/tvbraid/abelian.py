@@ -3,8 +3,10 @@
 Everything here is exact big-integer arithmetic.  The pivot rule is
 deterministic: smallest nonzero absolute value in the remaining block,
 ties broken by lowest row then lowest column, so the search stops at the
-first unit.  Relation matrices are almost empty, so rows are
-``{column: value}`` dicts without zeros.
+first unit.  The pivot's row, then its column, is reduced modulo the
+pivot, and the least remainder becomes the next pivot until both are
+clear.  Relation matrices are almost empty, so rows are ``{column:
+value}`` dicts without zeros.
 
 ``abelian_invariants`` first eliminates on unit entries, as Havas, Holt &
 Rees ("Recognizing badly presented Z-modules", 1993) do.  Zero and
@@ -131,23 +133,25 @@ def smith_normal_form(matrix) -> SmithForm:
         pj = min(j for j, a in A[t].items() if abs(a) == best)
         if pj != t:
             swap_cols(t, pj)
+        # Reduce row t, then column t, modulo the pivot, so that no row step
+        # adds an entry of row t larger than the pivot; the least remainder
+        # left, lowest row then column, is the next pivot.
         while True:
-            dirty = False
-            for i in range(t + 1, rows):
-                if t in A[i]:
-                    add_row(t, i, -(A[i][t] // A[t][t]))
-                    if t in A[i]:
-                        A[t], A[i] = A[i], A[t]
-                        dirty = True
-            # Columns right of j are untouched until reached.
+            p = A[t][t]
             for j in sorted(A[t]):
                 if j > t:
-                    add_col(t, j, -(A[t][j] // A[t][t]))
-                    if j in A[t]:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
+                    add_col(t, j, -(A[t][j] // p))
+            for i in range(t + 1, rows):
+                if t in A[i]:
+                    add_row(t, i, -(A[i][t] // p))
+            left = [(abs(A[i][t]), i, t) for i in range(t + 1, rows) if t in A[i]]
+            left += [(abs(a), t, j) for j, a in A[t].items() if j > t]
+            if not left:
                 break
+            _, i, j = min(left)
+            A[t], A[i] = A[i], A[t]
+            if j != t:
+                swap_cols(t, j)
         if A[t][t] < 0:
             negate_col(t)
         t += 1

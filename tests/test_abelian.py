@@ -108,6 +108,39 @@ def test_column_transform_is_unimodular_and_kills_the_tail():
             _check_column_transform(relation_matrix(build_presentation(family, n)))
 
 
+#: a full 8x7 matrix on which a pivot rule that does not reduce the pivot's
+#: row and column modulo the pivot grows its entries past 10^6 bits
+RUNAWAY = [
+    [-1, 0, 0, 0, 0, -3, -1],
+    [0, 0, 3, 5, -1, 4, 0],
+    [3, -5, 0, 2, 1, 0, -4],
+    [4, 0, 0, -4, -5, 0, 0],
+    [0, -2, 1, 0, 2, 4, 0],
+    [0, 1, 0, -4, -3, 2, 5],
+    [0, 6, 0, 0, 0, 0, -5],
+    [0, 4, 0, 0, 0, 0, -1],
+]
+
+
+def _bits(s) -> int:
+    """Bit length of the largest entry of the diagonal and of V."""
+    entries = s.diagonal + [x for row in s.right for x in row]
+    return max(abs(x).bit_length() for x in entries)
+
+
+def test_smith_entries_stay_bounded_on_full_matrices():
+    s = smith_normal_form(RUNAWAY)
+    assert s.diagonal == minor_gcd_invariants(RUNAWAY) == [1] * 6 + [9]
+    assert _bits(s) <= 24
+    _check_column_transform(RUNAWAY)
+    rng = random.Random(41)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        M = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+        assert _bits(smith_normal_form(M)) <= 80, M
+        _check_column_transform(M)
+
+
 FROZEN_INVARIANTS = {
     ("tvpn", 2): "Z^1 + Z_2^2",
     ("tvpn", 3): "Z^3 + Z_2^3",

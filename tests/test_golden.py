@@ -99,8 +99,7 @@ def _smith_digest(matrices):
 
 def _random_matrices(count=500, seed=31):
     """Small matrices, up to half full: non-unit pivots, zero rows and
-    columns, and diagonals that need the divisibility pass.  Fuller ones
-    can drive the entries of this pivot rule to millions of digits."""
+    columns, and diagonals that need the divisibility pass."""
     rng = random.Random(seed)
 
     def entry(density):
