@@ -36,7 +36,6 @@ Context names and their kernels:
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, groupby
 from math import factorial
 
 from ._record import FrozenRecord, Record
@@ -445,8 +444,15 @@ def _cyclic_key(ids: tuple, bars: set) -> tuple:
     and the order within bar runs."""
     if not bars.isdisjoint(ids):
         p = next((k for k, g in enumerate(ids) if g not in bars), 0)
-        runs = groupby(ids[p:] + ids[:p], bars.__contains__)
-        ids = tuple(chain.from_iterable(sorted(g) if bar else g for bar, g in runs))
+        out, run = [], []
+        for g in ids[p:] + ids[:p]:  # from a non-bar, so the last run wraps
+            if g in bars:
+                run.append(g)
+            else:
+                out += sorted(run) if run else ()
+                out.append(g)
+                run = []
+        ids = tuple(out + sorted(run))
     m = min(ids)
     p = ids.index(m)
     if ids.count(m) == 1:
@@ -471,16 +477,18 @@ class _ClassIndex(dict):
 
     def __missing__(self, ids: tuple) -> int:
         gens, inv, bars = self.ctx.gens, self.inv, self.bars
-        for g in range(len(inv), len(gens)):  # generators new since the last miss
-            inv.append(self.ctx.gen_ids[gens[g].inverse()])
-            if gens[g].kind == "g":
-                bars.add(g)
+        if len(inv) < len(gens):  # the walks numbered new generators
+            for g in range(len(inv), len(gens)):
+                inv.append(self.ctx.gen_ids[gens[g].inverse()])
+                if gens[g].kind == "g":
+                    bars.add(g)
         key = _cyclic_key(ids, bars)
-        if key not in self:
+        k = self.get(key)
+        if k is None:
             back = tuple(map(inv.__getitem__, reversed(ids)))
-            self[back] = self[_cyclic_key(back, bars)] = self[key] = self.count
+            k = self[back] = self[_cyclic_key(back, bars)] = self[key] = self.count
             self.count += 1
-        k = self[ids] = self[key]
+        self[ids] = k
         return k
 
 
@@ -499,8 +507,9 @@ def derive_relators(ctx: RSContext) -> list[DerivedRelator]:
     out: list[DerivedRelator] = []
     index = _ClassIndex(ctx)
     for r in ctx.ambient.relators:
+        word = r.word
         for c in ctx.rep_ids:
-            ids = rewrite_tau(ctx, r.word, start=c)._word
+            ids = rewrite_tau(ctx, word, c)._word
             if not ids or index[ids] < len(out):
                 continue
             d = ctx.relators.get(ids)
