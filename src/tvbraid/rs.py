@@ -19,9 +19,10 @@ presentation comes from walking every ambient relator from the coset of
 every representative t: that walk yields the atoms of the rewrite of
 t r t^-1, since the letters of a Schreier representative classify to
 nothing.  Those rewrites are deduplicated up to cyclic class on generator
-ids alone: each class is keyed by the least rotations of its word and of
-its inverse, with bar runs sorted by id, and any fixed order of the ids
-gives the classes of ``canonical_key``.
+ids alone: each class is keyed by ``words._cyclic_key`` of its word and of
+its inverse, the least rotation once bar runs are sorted by id, which is
+the routine ``canonical_key`` runs on atom sort keys; any fixed order of
+the ids gives the same classes.
 
 Context names and their kernels:
 
@@ -47,6 +48,7 @@ from .words import (
     Atom,
     Word,
     _atom,
+    _cyclic_key,
     _raw_invert_atoms,
     format_atom,
     format_word,
@@ -438,35 +440,12 @@ class DerivedRelator(FrozenRecord):
         )
 
 
-def _cyclic_key(ids: tuple, bars: set) -> tuple:
-    """Least rotation of a word of generator ids once each cyclic run of bar
-    ids is sorted: bars commute, so the key names the word up to rotation
-    and the order within bar runs."""
-    if not bars.isdisjoint(ids):
-        p = next((k for k, g in enumerate(ids) if g not in bars), 0)
-        out, run = [], []
-        for g in ids[p:] + ids[:p]:  # from a non-bar, so the last run wraps
-            if g in bars:
-                run.append(g)
-            else:
-                out += sorted(run) if run else ()
-                out.append(g)
-                run = []
-        ids = tuple(out + sorted(run))
-    m = min(ids)
-    p = ids.index(m)
-    if ids.count(m) == 1:
-        return ids[p:] + ids[:p]
-    twice = ids + ids
-    return min(twice[k : k + len(ids)] for k in range(p, len(ids)) if ids[k] == m)
-
-
 class _ClassIndex(dict):
     """Nonempty rewrite, as generator ids -> number of its cyclic class,
     counted from 0 as classes are met.  A class is a word up to rotation,
     inversion and the order of bars within a run, as for ``canonical_key``.
-    A new class enters under the cyclic keys of its first word and of that
-    word's inverse, and with the inverse itself, and every rewrite met
+    A new class enters under the ``words._cyclic_key`` of its first word and
+    of that word's inverse, and with the inverse itself, and every rewrite met
     enters too: an exact repeat costs one lookup, any other rewrite a key
     and a second lookup."""
 

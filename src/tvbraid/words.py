@@ -353,31 +353,34 @@ def concat(u: Word, v: Word) -> Word:
     return Word._trusted(u.n, u.atoms + v.atoms)
 
 
-def _runsorted(keys: list) -> list:
-    """Ascending-sort every maximal cyclic run of bar keys (kind order 0).
-
-    Bar atoms commute with each other and square to the identity in every
-    group this package presents, so reordering a run changes nothing.  Runs
-    are cyclic: the keys are first rotated to start on a non-bar atom, which
-    makes the linear runs coincide with the cyclic ones.
-    """
-    p = next((k for k, key in enumerate(keys) if key[0]), None)
-    if p is None:
-        return sorted(keys)
-    out, run = [], []
-    for key in keys[p:] + keys[:p]:
-        if key[0]:
-            out += sorted(run)
-            out.append(key)
-            run = []
-        else:
-            run.append(key)
-    return out + sorted(run)
+def _cyclic_key(seq: tuple, bars: set) -> tuple:
+    """Least rotation of a nonempty sequence once each cyclic run of the
+    members of bars is sorted.  Bars commute in every group this package
+    presents, so the key names the word up to rotation and the order within
+    bar runs.  The sequence may hold atom sort keys or generator ids; any
+    fixed order of its letters gives the same classes."""
+    if bars and not bars.isdisjoint(seq):
+        p = next((k for k, g in enumerate(seq) if g not in bars), 0)
+        out, run = [], []
+        for g in seq[p:] + seq[:p]:  # from a non-bar, so the last run wraps
+            if g in bars:
+                run.append(g)
+            else:
+                out += sorted(run) if run else ()
+                out.append(g)
+                run = []
+        seq = tuple(out + sorted(run))
+    m = min(seq)
+    p = seq.index(m)
+    if seq.count(m) == 1:
+        return seq[p:] + seq[:p]
+    twice = seq + seq
+    return min(twice[k : k + len(seq)] for k in range(p, len(seq)) if seq[k] == m)
 
 
 def canonical_key(w: Word) -> tuple:
-    """Cyclic-class key: minimum over all rotations of the word and of its
-    inverse, with bar runs pre-sorted.
+    """Cyclic-class key: the least of the cyclic keys of the word's atom sort
+    keys and of its inverse's, with bar runs sorted.
 
     Two relators that differ by a cyclic rotation, by inversion, or by the
     order of bars inside a run get the same key.  Example: the derived
@@ -386,20 +389,9 @@ def canonical_key(w: Word) -> tuple:
     run g2 g1 is sorted to g1 g2; both produce one key.  The inverse's keys
     are the word's reversed, with s, l and x signs negated.
     """
-    return _class_key([a.sort_key() for a in w.atoms])
-
-
-def _class_key(keys: list) -> tuple:
-    """canonical_key of the word whose atoms have these sort keys."""
+    keys = tuple(a.sort_key() for a in w.atoms)
     if not keys:
         return ()
-    inv = [k if k[0] < 2 else k[:4] + (-k[4],) for k in reversed(keys)]
-    if any(k[0] == 0 for k in keys):
-        keys, inv = _runsorted(keys), _runsorted(inv)
-    least = min(min(keys), min(inv))
-    best = keys
-    for base in (keys, inv):
-        for r, k in enumerate(base):
-            if k == least and base[r:] + base[:r] < best:
-                best = base[r:] + base[:r]
-    return tuple(best)
+    inv = tuple(k if k[0] < 2 else k[:4] + (-k[4],) for k in reversed(keys))
+    bars = {k for k in keys if not k[0]}
+    return min(_cyclic_key(keys, bars), _cyclic_key(inv, bars))

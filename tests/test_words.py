@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from tvbraid.words import (
     ParseError,
     Word,
     _atom,
+    _cyclic_key,
     canonical_key,
     concat,
     format_atom,
@@ -298,6 +300,57 @@ def test_canonical_key_edge_words():
 def test_canonical_key_distinguishes_reduced_words(w):
     # sanity: identical words always share a key
     assert canonical_key(w) == canonical_key(Word(w.n, w.atoms))
+
+
+def _cyclic_class(seq, bars):
+    """Every sequence reached from seq by breadth-first search over
+    rotations and swaps of two cyclically adjacent members of bars."""
+    seen, todo = {seq}, deque([seq])
+    while todo:
+        w = todo.popleft()
+        moves = [w[1:] + w[:1]]
+        for i in range(len(w)):
+            j = (i + 1) % len(w)
+            if i != j and w[i] in bars and w[j] in bars:
+                v = list(w)
+                v[i], v[j] = v[j], v[i]
+                moves.append(tuple(v))
+        for v in moves:
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return seen
+
+
+def _assert_names_its_class(seq, bars):
+    key = _cyclic_key(seq, bars)
+    members = _cyclic_class(seq, bars)
+    assert key in members
+    assert all(_cyclic_key(w, bars) == key for w in members), (seq, bars)
+    return key
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.integers(0, 4), min_size=1, max_size=6).map(tuple),
+    st.sets(st.integers(0, 4)),
+)
+def test_cyclic_key_names_the_class(seq, bars):
+    """The shared key of words and of generator-id rewrites is one member of
+    the class, the same for every member, whatever letters are bars."""
+    _assert_names_its_class(seq, bars)
+
+
+def test_cyclic_key_edge_sequences():
+    # a single letter, bar or not
+    assert _assert_names_its_class((3,), set()) == (3,)
+    assert _assert_names_its_class((3,), {3}) == (3,)
+    # an all-bar word is one cyclic run, sorted
+    assert _assert_names_its_class((2, 0, 1, 0), {0, 1, 2}) == (0, 0, 1, 2)
+    # a repeated minimum: the least of the rotations at each copy
+    assert _assert_names_its_class((2, 1, 3, 1, 2), set()) == (1, 2, 2, 1, 3)
+    # the run 2 0 wraps around the end and sorts to 0 2
+    assert _assert_names_its_class((0, 5, 2), {0, 2}) == (0, 2, 5)
 
 
 def test_equal_atoms_hash_alike_however_built():
