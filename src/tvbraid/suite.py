@@ -31,6 +31,7 @@ from .present import (
     _decorated_generators,
 )
 from .rs import (
+    KERNEL_TABLE,
     classify,
     derive_relators,
     make_context,
@@ -151,7 +152,7 @@ def _check_derived_vs_registry(n: int, seed: int):
             got = format_word(rewrite_tau(ctx3, parse_word(text, 3)).word)
             if got != expect:
                 return False, f"rewrite of {text!r} gave {got!r}, expected {expect!r}"
-    for name in ("tvp", "tvh"):
+    for name in KERNEL_TABLE:
         ctx = make_context(name, n)
         derived = {canonical_key(d.word) for d in derive_relators(ctx)}
         registry = set(
