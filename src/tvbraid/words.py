@@ -66,11 +66,12 @@ class Atom(FrozenRecord):
     strictly increasing tuple of bar-conjugator indices (paired kinds only).
     Involution kinds fold their sign to +1.  Index-range checks against a
     rank happen at Word construction, not here.  An atom hashes as the tuple
-    of its fields, computed once when it is built, and never equals a tuple.
+    of its fields and never equals a tuple; that hash and its sort key are
+    computed once, when it is built.
     """
 
     _fields = ("kind", "i", "j", "deco", "sign")
-    __slots__ = _fields + ("_hash",)
+    __slots__ = _fields + ("_hash", "_key")
 
     def __init__(
         self, kind: str, i: int, j: int | None = None, deco: tuple = (), sign: int = 1
@@ -82,7 +83,9 @@ class Atom(FrozenRecord):
         set_field(self, "deco", deco)
         set_field(self, "sign", sign)
         self._check()
-        set_field(self, "_hash", hash((kind, i, j, deco, self.sign)))
+        sign = self.sign
+        set_field(self, "_hash", hash((kind, i, j, deco, sign)))
+        set_field(self, "_key", (_KIND_ORDER[kind], i, j or 0, deco, sign))
 
     def _check(self) -> None:
         if self.kind not in KINDS:
@@ -110,16 +113,11 @@ class Atom(FrozenRecord):
         if self.kind in _INVOLUTION and self.sign == -1:
             object.__setattr__(self, "sign", 1)
 
-    # Hand-written for speed: letter ids, map images and relator sets key on atoms.
+    # Hand-written for speed: letter ids, map images and relator sets key on
+    # atoms.  The sort key names the fields one to one.
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return (self.kind, self.i, self.j, self.deco, self.sign) == (
-                other.kind,
-                other.i,
-                other.j,
-                other.deco,
-                other.sign,
-            )
+            return self._key == other._key
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -136,7 +134,8 @@ class Atom(FrozenRecord):
         return _atom(self.kind, self.i, self.j, self.deco, -self.sign)
 
     def sort_key(self) -> tuple:
-        return (_KIND_ORDER[self.kind], self.i, self.j or 0, self.deco, self.sign)
+        """(kind order, i, j or 0, deco, sign): bars sort first, kind order 0."""
+        return self._key
 
 
 #: (kind, i, j, deco, sign) -> the one validated Atom of that value
@@ -389,7 +388,7 @@ def canonical_key(w: Word) -> tuple:
     run g2 g1 is sorted to g1 g2; both produce one key.  The inverse's keys
     are the word's reversed, with s, l and x signs negated.
     """
-    keys = tuple(a.sort_key() for a in w.atoms)
+    keys = tuple([a._key for a in w.atoms])
     if not keys:
         return ()
     inv = tuple(k if k[0] < 2 else k[:4] + (-k[4],) for k in reversed(keys))

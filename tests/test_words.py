@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvbraid.present import _decorated_generators
+from tvbraid.present import FAMILIES, _decorated_generators, build_presentation
 from tvbraid.words import (
+    _ATOMS,
+    _KIND_ORDER,
     ALPHABETS,
     Atom,
     ParseError,
@@ -252,11 +254,17 @@ def test_canonical_key_gamma_runs():
     )
 
 
+def _field_key(a):
+    """An atom's sort key, recomputed from its fields."""
+    return (_KIND_ORDER[a.kind], a.i, a.j or 0, a.deco, a.sign)
+
+
 def _key_oracle(w):
     """canonical_key by its definition: the least rotation of the word or of
     its atom-by-atom inverse, each rotation with its runs of bars sorted.
     Sorting each rotation's own runs reaches the same least key as sorting
-    the cyclic runs first, since a whole sorted run beats any part of it."""
+    the cyclic runs first, since a whole sorted run beats any part of it.
+    The keys come from the atoms' fields, not from the keys they store."""
     best = ()
     inverse = [a.inverse() for a in reversed(w.atoms)]
     for base in (list(w.atoms), inverse):
@@ -266,11 +274,11 @@ def _key_oracle(w):
                 if a is not None and a.kind == "g":
                     run.append(a)
                     continue
-                out.extend(sorted(run, key=Atom.sort_key))
+                out.extend(sorted(run, key=_field_key))
                 run = []
                 if a is not None:
                     out.append(a)
-            cand = tuple(a.sort_key() for a in out)
+            cand = tuple(map(_field_key, out))
             if not best or cand < best:
                 best = cand
     return best
@@ -287,6 +295,42 @@ def _bar_heavy_words(n=4, max_len=10):
 @given(st.one_of(word_strategy(n=4, max_len=10), _bar_heavy_words()))
 def test_canonical_key_matches_its_definition(w):
     assert canonical_key(w) == _key_oracle(w)
+
+
+def test_canonical_key_matches_its_definition_on_seeded_bar_runs():
+    rng = random.Random(20)
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        atoms = []
+        for _ in range(rng.randint(0, 12)):
+            if rng.random() < 0.5:  # a run of one to four bars
+                atoms += [gamma(rng.randint(1, n)) for _ in range(rng.randint(1, 4))]
+            else:
+                i, j = rng.sample(range(1, n + 1), 2)
+                deco = rng.choice([(), (i,), (j,), (i, j)])
+                make = rng.choice([lam, xgen])
+                atoms.append(make(i, j, deco, rng.choice([1, -1])))
+        w = Word(n, atoms)
+        assert canonical_key(w) == _key_oracle(w), format_word(w)
+
+
+def test_atoms_store_the_key_of_their_fields():
+    """Every atom the library built for the families at n <= 5, and every
+    parsed atom, holds the sort key its fields give, folded involution signs
+    included."""
+    for family in FAMILIES:
+        for n in range(1, 6):
+            build_presentation(family, n)
+    assert len(_ATOMS) > 100
+    for a in _ATOMS.values():
+        assert a.sort_key() == _field_key(a), a
+    text = "r1^-1 g2^-1 s1^-1 s2 l2,1:12^-1 x1,3:3 l10,11:10,11 x1,11:11,"
+    for a in parse_word(text, 11).atoms:
+        assert a.sort_key() == _field_key(a), a
+    assert [a.sort_key() for a in parse_word("r1^-1 g2^-1", 3).atoms] == [
+        (1, 1, 0, (), 1),
+        (0, 2, 0, (), 1),
+    ]
 
 
 def test_canonical_key_edge_words():
