@@ -33,7 +33,6 @@ from .words import (
     _raw_invert_atoms,
     canonical_key,
     format_atom,
-    format_word,
     free_reduce,
     gamma,
     lam,
@@ -118,10 +117,11 @@ def _comm(n, a, b) -> Word:
 
 
 def _dedup(pairs):
+    """One Relator per cyclic class, the first met.  The words come
+    free-reduced from every builder and are stored as they come."""
     seen = set()
     out = []
     for rid, w in pairs:
-        w = free_reduce(w)
         key = canonical_key(w)
         if key in seen:
             continue
@@ -502,19 +502,33 @@ def transcribed_pl_table(n: int) -> list[tuple[str, Word]]:
     return out
 
 
+class _AtomTexts(dict):
+    """Atom -> ``format_atom`` text, each distinct atom formatted once."""
+
+    def __missing__(self, a: Atom) -> str:
+        text = self[a] = format_atom(a)
+        return text
+
+    def word(self, w: Word) -> str:
+        """``format_word(w)``, from the stored texts."""
+        return " ".join(map(self.__getitem__, w.atoms))
+
+
 def presentation_text(pres: Presentation) -> str:
+    texts = _AtomTexts()
     lines = [f"{pres.family} n={pres.n}"]
-    lines.extend(f"gen {format_atom(g)}" for g in pres.generators)
-    lines.extend(f"rel {format_word(r.word)}" for r in pres.relators)
+    lines.extend(f"gen {texts[g]}" for g in pres.generators)
+    lines.extend(f"rel {texts.word(r.word)}" for r in pres.relators)
     return "\n".join(lines)
 
 
 def presentation_dict(pres: Presentation) -> dict:
+    texts = _AtomTexts()
     return {
         "family": pres.family,
         "n": pres.n,
-        "generators": [format_atom(g) for g in pres.generators],
+        "generators": [texts[g] for g in pres.generators],
         "relators": [
-            {"id": r.rid, "word": format_word(r.word)} for r in pres.relators
+            {"id": r.rid, "word": texts.word(r.word)} for r in pres.relators
         ],
     }
