@@ -4,8 +4,10 @@ Exit codes: 0 on success, 1 when a verification check fails, 2 for
 unusable input (bad syntax, unknown names, a rank range no selected
 verification check supports), 3 when input parses but a
 domain precondition fails (word outside the expected subgroup, map with
-no computable kernel test), 141 when the reader of stdout goes away
-(128 + SIGPIPE, as a shell reports a process killed by it).
+no computable kernel test), 4 when the computation runs out of memory
+or recursion depth (``MemoryError``, ``RecursionError``), 141 when the
+reader of stdout goes away (128 + SIGPIPE, as a shell reports a process
+killed by it).
 
 Words come either as positional arguments or, with no positional words,
 one per line on stdin.  Batch input is all-or-nothing: results print
@@ -249,6 +251,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (MemoryError, RecursionError) as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of resources ({type(exc).__name__}{detail})", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from tvbraid import cli
 from tvbraid.cli import main
 from tvbraid.suite import CheckReport
 
@@ -109,6 +110,33 @@ def test_domain_error_exit(capsys):
     assert "[2,1,3]" in err
     code, _, err = run_cli(capsys, "kernel", "--hom", "plToVp", "-n", "3", "l1,2")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "callee, argv, exc",
+    [
+        ("make_hom", ("image", "--hom", "phiPT", "-n", "4", "s1"), MemoryError()),
+        ("build_presentation", ("present", "--group", "hln", "-n", "4"), MemoryError()),
+        (
+            "rewrite_tau",
+            ("rewrite", "--into", "pt", "-n", "4", "s1 r1"),
+            RecursionError("maximum recursion depth exceeded"),
+        ),
+    ],
+)
+def test_exhaustion_exits_4_with_one_line(capsys, monkeypatch, callee, argv, exc):
+    """Running out of memory or recursion depth is exit 4, not the exit 1 of
+    a failed check, and stderr holds one error line with no traceback."""
+
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, callee, exhausted)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: out of resources (") and err.count("\n") == 1
+    assert type(exc).__name__ in err and "Traceback" not in err
 
 
 def test_closed_stdout_exits_141_quietly(capsys, monkeypatch, tmp_path):
