@@ -188,15 +188,20 @@ def test_conjugation_orbit_size():
     assert [format_word(x) for x in orbit] == ["l1,2", "l1,2:1", "l1,2:2", "l1,2:12"]
 
 
-def _base_words(family, n):
-    """The base relators whose bar orbits make up the registry, before and
-    after folding, and the registry words themselves."""
+def _folded_base(family, n):
+    """The base relators whose bar orbits make up the registry, unfolded,
+    and the same words with every pair atom folded to canonical form."""
     if family == "pln":
         base = chain(_pair_relators(n, lam, "lambda"), _lambda_triples(n))
     else:
         base = chain(_pair_relators(n, xgen, "x"), _x_braids(n))
     words = [w for _, w in base]
-    folded = [Word(n, [canonicalize_atom(a) for a in w.atoms]) for w in words]
+    return words, [Word(n, [canonicalize_atom(a) for a in w.atoms]) for w in words]
+
+
+def _base_words(family, n):
+    """The base relators before and after folding, and the registry words."""
+    words, folded = _folded_base(family, n)
     return words + folded + [r.word for r in build_presentation(family, n).relators]
 
 
@@ -243,6 +248,21 @@ def test_rotations_and_inverses_share_the_bar_orbit(atoms, shift, inverted):
     if inverted:
         moved = _raw_invert_atoms(moved)
     assert _orbit_keys(Word(6, moved)) == _orbit_keys(w)
+
+
+@pytest.mark.parametrize("family", ["pln", "hln"])
+@pytest.mark.parametrize("n", range(3, 7))
+def test_base_orbits_are_equal_or_disjoint_and_cover_the_registry(family, n):
+    """The class sets of the folded base relators' bar orbits are pairwise
+    equal or disjoint, and their union is the registry's classes.  So a base
+    relator whose folded word lies in an orbit already expanded adds nothing
+    to the registry."""
+    orbit_of = {}  # class key -> the class set of the orbit that holds it
+    for w in _folded_base(family, n)[1]:
+        orbit = frozenset(canonical_key(x) for x in conjugation_orbit(w))
+        for key in orbit:
+            assert orbit_of.setdefault(key, orbit) == orbit, format_word(w)
+    assert orbit_of.keys() == build_presentation(family, n).relator_keys().keys()
 
 
 def test_conjugate_by_bars_rejects_crossings():
