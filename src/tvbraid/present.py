@@ -33,6 +33,7 @@ from .words import (
     _raw_invert_atoms,
     canonical_key,
     format_atom,
+    format_word,
     free_reduce,
     gamma,
     lam,
@@ -502,33 +503,19 @@ def transcribed_pl_table(n: int) -> list[tuple[str, Word]]:
     return out
 
 
-class _AtomTexts(dict):
-    """Atom -> ``format_atom`` text, each distinct atom formatted once."""
-
-    def __missing__(self, a: Atom) -> str:
-        text = self[a] = format_atom(a)
-        return text
-
-    def word(self, w: Word) -> str:
-        """``format_word(w)``, from the stored texts."""
-        return " ".join(map(self.__getitem__, w.atoms))
-
-
 def presentation_text(pres: Presentation) -> str:
-    texts = _AtomTexts()
     lines = [f"{pres.family} n={pres.n}"]
-    lines.extend(f"gen {texts[g]}" for g in pres.generators)
-    lines.extend(f"rel {texts.word(r.word)}" for r in pres.relators)
+    lines.extend(f"gen {format_atom(g)}" for g in pres.generators)
+    lines.extend(f"rel {format_word(r.word)}" for r in pres.relators)
     return "\n".join(lines)
 
 
 def presentation_dict(pres: Presentation) -> dict:
-    texts = _AtomTexts()
     return {
         "family": pres.family,
         "n": pres.n,
-        "generators": [texts[g] for g in pres.generators],
+        "generators": [format_atom(g) for g in pres.generators],
         "relators": [
-            {"id": r.rid, "word": texts.word(r.word)} for r in pres.relators
+            {"id": r.rid, "word": format_word(r.word)} for r in pres.relators
         ],
     }

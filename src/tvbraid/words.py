@@ -66,12 +66,13 @@ class Atom(FrozenRecord):
     strictly increasing tuple of bar-conjugator indices (paired kinds only).
     Involution kinds fold their sign to +1.  Index-range checks against a
     rank happen at Word construction, not here.  An atom hashes as the tuple
-    of its fields and never equals a tuple; that hash and its sort key are
-    computed once, when it is built.
+    of its fields and never equals a tuple; that hash and its sort key, which
+    names the fields one to one, are computed once, when it is built.  Its
+    text is kept the first time ``format_atom`` builds it.
     """
 
     _fields = ("kind", "i", "j", "deco", "sign")
-    __slots__ = _fields + ("_hash", "_key")
+    __slots__ = _fields + ("_hash", "_key", "_text")
 
     def __init__(
         self, kind: str, i: int, j: int | None = None, deco: tuple = (), sign: int = 1
@@ -113,8 +114,7 @@ class Atom(FrozenRecord):
         if self.kind in _INVOLUTION and self.sign == -1:
             object.__setattr__(self, "sign", 1)
 
-    # Hand-written for speed: letter ids, map images and relator sets key on
-    # atoms.  The sort key names the fields one to one.
+    # Hand-written for speed: letter ids, map images and relator sets key on atoms.
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self._key == other._key
@@ -290,6 +290,11 @@ def parse_word(text: str, n: int, alphabet: str = "Mixed") -> Word:
 
 
 def format_atom(a: Atom) -> str:
+    """The atom's text, built once per atom and kept on it."""
+    try:
+        return a._text
+    except AttributeError:
+        pass
     out = f"{a.kind}{a.i}"
     if a.j is not None:
         out += f",{a.j}"
@@ -300,11 +305,12 @@ def format_atom(a: Atom) -> str:
             out += ":" + ",".join(str(d) for d in a.deco) + "," * (len(a.deco) == 1)
     if a.sign == -1:
         out += "^-1"
+    object.__setattr__(a, "_text", out)
     return out
 
 
 def format_word(w: Word) -> str:
-    return " ".join(format_atom(a) for a in w.atoms)
+    return " ".join(map(format_atom, w.atoms))
 
 
 def _is_inverse_pair(a: Atom, b: Atom, involutions: bool) -> bool:

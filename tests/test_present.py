@@ -105,8 +105,8 @@ def test_orbits_conjugate_only_by_bars_on_own_strands(monkeypatch, family, n, ca
 
 
 def test_dedup_is_handed_reduced_words(monkeypatch):
-    """Every builder hands ``_dedup`` free-reduced words, so the
-    ``free_reduce`` inside it changes nothing."""
+    """Every builder hands ``_dedup`` free-reduced words, and ``_dedup``
+    stores them without reducing them again."""
     dedup = present._dedup
     seen = 0
 
