@@ -1,30 +1,31 @@
 """Integer Smith normal form and abelian invariants of presentations.
 
-Everything here is exact big-integer arithmetic.  The pivot rule is
-deterministic: smallest nonzero absolute value in the remaining block,
-ties broken by lowest row then lowest column, so the search stops at the
-first unit.  The pivot's row, then its column, is reduced modulo the
-pivot, and the least remainder becomes the next pivot until both are
-clear.  Relation matrices are almost empty, so rows are ``{column:
-value}`` dicts without zeros.
+Everything here is exact big-integer arithmetic.  Relation matrices are
+almost empty, so rows are ``{column: value}`` dicts without zeros, and
+one elimination, ``_pivots``, serves both ``smith_normal_form`` and
+``abelian_invariants``.  Zero and repeated rows (r and -r count as one)
+are dropped first, since they do not change the row lattice.
 
-``abelian_invariants`` first eliminates on unit entries, as Havas, Holt &
-Rees ("Recognizing badly presented Z-modules", 1993) do.  Zero and
-repeated relator rows are dropped, since they do not change the row
-lattice.  A row with a +-1 in column c clears column c from every other
-row by row operations; the matrix is then that unit plus a block on the
-remaining rows and columns, so both are deleted and the rank grows by
-one.  Only what is left reaches ``smith_normal_form``.  Invariant factors
-are unique, so the answer is the full Smith form's.
+Units go first, as Havas, Holt & Rees ("Recognizing badly presented
+Z-modules", 1993) do.  A row with a +-1 in column c clears column c from
+every other row by row operations; the matrix is then that unit plus a
+block on the remaining rows and columns, so both are deleted.  When no
+unit is left, the pivot is the least entry, lowest row then lowest
+column.  Its row, then its column, is reduced modulo the pivot, and the
+least remainder becomes the pivot until both are clear, which keeps
+entries from running away on full matrices; then its row and column are
+deleted too.  The matrix is thus equivalent to the diagonal of the
+pivots, and ``_chain`` reads the invariant factors off that diagonal.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from itertools import groupby
-from math import gcd
+from math import gcd, lcm
+from operator import index
 
-from ._record import FrozenRecord, Record
+from ._record import FrozenRecord
 from .present import Presentation
 from .words import format_atom
 
@@ -50,137 +51,10 @@ def _exponent_rows(pres: Presentation) -> list[dict[int, int]]:
     return rows
 
 
-def _dense(rows: list[dict[int, int]], cols: int) -> list[list[int]]:
-    matrix = [[0] * cols for _ in rows]
-    for dense, row in zip(matrix, rows):
-        for k, v in row.items():
-            dense[k] = v
-    return matrix
-
-
 def relation_matrix(pres: Presentation) -> list[list[int]]:
     """Exponent-sum matrix: one row per relator, one column per generator."""
-    return _dense(_exponent_rows(pres), len(pres.generators))
-
-
-class SmithForm(Record):
-    __slots__ = _fields = ("diagonal", "rank", "right", "cols")
-
-    def __init__(self, diagonal: list[int], rank: int, right: list[list[int]], cols: int):
-        self.diagonal = diagonal
-        self.rank = rank
-        self.right = right
-        self.cols = cols
-
-
-def smith_normal_form(matrix) -> SmithForm:
-    """Diagonalize an integer matrix by row and column operations.
-
-    Returns the positive diagonal entries (each dividing the next), the
-    rank, and the accumulated column transform V with A_in @ V row-space
-    equivalent to the diagonal form, so coordinates of a generator-exponent
-    vector e in the quotient group are e @ V.
-    """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    A = [{j: x for j, x in enumerate(map(int, row)) if x} for row in matrix]
-    if any(len(row) != cols for row in matrix):
-        raise ValueError("ragged matrix")
-    W = [[int(i == j) for i in range(cols)] for j in range(cols)]  # V by columns
-
-    def add_row(src, dst, q):
-        row = A[dst]
-        for j, b in A[src].items():
-            if v := row.get(j, 0) + q * b:
-                row[j] = v
-            else:
-                row.pop(j, None)
-
-    # Column work skips rows above min(i, j): they hold only their diagonal.
-    def add_col(src, dst, q):
-        for row in A[min(src, dst) :]:
-            if src in row:
-                if v := row.get(dst, 0) + q * row[src]:
-                    row[dst] = v
-                else:
-                    row.pop(dst, None)
-        W[dst] = [a + q * b for a, b in zip(W[dst], W[src])]
-
-    def swap_cols(i, j):
-        for row in A[min(i, j) :]:
-            if i in row or j in row:
-                a, b = row.pop(i, 0), row.pop(j, 0)
-                row |= {k: v for k, v in ((i, b), (j, a)) if v}
-        W[i], W[j] = W[j], W[i]
-
-    def negate_col(j):  # column j is just A[j][j] here
-        A[j][j] = -A[j][j]
-        W[j] = [-a for a in W[j]]
-
-    t = 0
-    while True:
-        best = 0
-        for i in range(t, rows):
-            if A[i]:
-                m = min(map(abs, A[i].values()))
-                if not best or m < best:
-                    best, pi = m, i
-                    if m == 1:
-                        break
-        if not best:
-            break
-        A[t], A[pi] = A[pi], A[t]
-        pj = min(j for j, a in A[t].items() if abs(a) == best)
-        if pj != t:
-            swap_cols(t, pj)
-        # Reduce row t, then column t, modulo the pivot, so that no row step
-        # adds an entry of row t larger than the pivot; the least remainder
-        # left, lowest row then column, is the next pivot.
-        while True:
-            p = A[t][t]
-            for j in sorted(A[t]):
-                if j > t:
-                    add_col(t, j, -(A[t][j] // p))
-            for i in range(t + 1, rows):
-                if t in A[i]:
-                    add_row(t, i, -(A[i][t] // p))
-            left = [(abs(A[i][t]), i, t) for i in range(t + 1, rows) if t in A[i]]
-            left += [(abs(a), t, j) for j, a in A[t].items() if j > t]
-            if not left:
-                break
-            _, i, j = min(left)
-            A[t], A[i] = A[i], A[t]
-            if j != t:
-                swap_cols(t, j)
-        if A[t][t] < 0:
-            negate_col(t)
-        t += 1
-    rank = t
-
-    # Enforce the divisibility chain pairwise: folding column k+1 into k
-    # gives the block [[a, 0], [c, c]], Euclid on its rows puts gcd(a, c)
-    # at (k, k), and one column step leaves the lcm at (k+1, k+1).
-    changed = True
-    while changed:
-        changed = False
-        for k in range(rank - 1):
-            if A[k + 1][k + 1] % A[k][k] == 0:
-                continue
-            changed = True
-            add_col(k + 1, k, 1)
-            while A[k + 1].get(k):
-                q = A[k][k] // A[k + 1][k]
-                add_row(k + 1, k, -q)
-                A[k], A[k + 1] = A[k + 1], A[k]
-            b = A[k].get(k + 1, 0)
-            assert b % A[k][k] == 0
-            add_col(k, k + 1, -(b // A[k][k]))
-            if A[k][k] < 0:
-                negate_col(k)
-            if A[k + 1][k + 1] < 0:
-                negate_col(k + 1)
-    V = [list(r) for r in zip(*W)]
-    return SmithForm([A[k][k] for k in range(rank)], rank, V, cols)
+    cols = range(len(pres.generators))
+    return [[row.get(k, 0) for k in cols] for row in _exponent_rows(pres)]
 
 
 class AbelianInvariants(FrozenRecord):
@@ -207,58 +81,118 @@ def _distinct(rows) -> list[dict[int, int]]:
     return out
 
 
-def _eliminate_units(rows: list[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
-    """Pivot on +-1 entries until no row holds one.
-
-    Returns the number of pivots and the rows left, as ``_distinct`` gives
-    them; each pivot deletes its row and column.  A row changed by a pivot
-    is tried again, since it may have gained a unit.  The pivot column is
-    the unit's column held by the fewest rows, which keeps fill-in low.
-    The input rows are not changed.
+def _pivots(rows) -> list[int]:
+    """The absolute values of the pivots that eliminate ``rows``, units
+    first.  A row changed by a unit pivot is tried again, since it may have
+    gained a unit; the unit's column is the one held by the fewest rows,
+    which keeps fill-in low.  The input rows are not changed.
     """
     rows = dict(enumerate(map(dict, _distinct(rows))))
     where = defaultdict(set)  # column -> ids of the rows holding it
     for i, row in rows.items():
         for j in row:
             where[j].add(i)
-    units = 0
+
+    def add_row(src, k, q):
+        """Add q times row ``src`` to row k, and drop row k if it empties."""
+        other = rows[k]
+        for j, b in src.items():
+            if v := other.get(j, 0) + q * b:
+                other[j] = v
+                where[j].add(k)
+            else:
+                del other[j]
+                where[j].discard(k)
+        if not other:
+            del rows[k]
+
+    def add_col(c, j, q):
+        """Add q times column c to column j."""
+        for k in where[c]:
+            row = rows[k]
+            if v := row.get(j, 0) + q * row[c]:
+                row[j] = v
+                where[j].add(k)
+            else:
+                del row[j]
+                where[j].discard(k)
+
+    # Units first: each deletes its row and column with no remainder left.
+    out = []
     todo = sorted(rows, reverse=True)
     while todo:
         i = todo.pop()
         row = rows.get(i)
-        pivots = [j for j, v in row.items() if v in (1, -1)] if row else ()
-        if not pivots:
+        units = [j for j, v in row.items() if v in (1, -1)] if row else ()
+        if not units:
             continue
-        c = min(pivots, key=lambda j: len(where[j]))
+        c = min(units, key=lambda j: len(where[j]))
         del rows[i]
         for j in row:
             where[j].discard(i)
         for k in where.pop(c):
-            other = rows[k]
-            q = other[c] * row[c]
-            for j, b in row.items():
-                if v := other.get(j, 0) - q * b:
-                    other[j] = v
-                    where[j].add(k)
-                else:
-                    del other[j]
-                    where[j].discard(k)
-            if other:
+            add_row(row, k, -rows[k][c] * row[c])
+            if k in rows:
                 todo.append(k)
-            else:
-                del rows[k]
-        units += 1
-    return units, _distinct(rows[i] for i in sorted(rows))
+        out.append(1)
+
+    # Then the least entry, until its row and column hold nothing else.
+    while rows:
+        _, i, c = min((abs(v), i, j) for i, row in rows.items() for j, v in row.items())
+        while True:
+            row = rows[i]
+            p = row[c]
+            for j in [j for j in row if j != c]:
+                if q := row[j] // p:
+                    add_col(c, j, -q)
+            for k in [k for k in where[c] if k != i]:
+                if q := rows[k][c] // p:
+                    add_row(row, k, -q)
+            left = [(abs(rows[k][c]), k, c) for k in where[c] if k != i]
+            left += [(abs(v), i, j) for j, v in row.items() if j != c]
+            if not left:
+                break
+            _, i, c = min(left)
+        del rows[i]
+        del where[c]
+        out.append(abs(p))
+    return out
+
+
+def _chain(pivots: list[int]) -> list[int]:
+    """The invariant factors of the diagonal matrix of ``pivots``: each
+    entry is folded into the chain so far, since diag(a, b) is equivalent
+    to diag(gcd(a, b), lcm(a, b)).  A unit only adds a leading 1."""
+    out = []
+    for p in pivots:
+        if p != 1:
+            for k, d in enumerate(out):
+                out[k], p = gcd(d, p), lcm(d, p)
+            out.append(p)
+    return [1] * (len(pivots) - len(out)) + out
+
+
+def _integer(x) -> int:
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"matrix entry {x!r} is not an integer") from None
+
+
+def smith_normal_form(matrix) -> list[int]:
+    """The invariant factors of an integer matrix: the positive diagonal of
+    its Smith normal form, each dividing the next.  Their number is the
+    rank."""
+    if any(len(row) != len(matrix[0]) for row in matrix):
+        raise ValueError("ragged matrix")
+    rows = [{j: x for j, x in enumerate(map(_integer, row)) if x} for row in matrix]
+    return _chain(_pivots(rows))
 
 
 def abelian_invariants(pres: Presentation) -> AbelianInvariants:
-    units, rest = _eliminate_units(_exponent_rows(pres))
-    at = {j: k for k, j in enumerate(sorted({j for row in rest for j in row}))}
-    rest = [{at[j]: v for j, v in row.items()} for row in rest]
-    snf = smith_normal_form(_dense(rest, len(at)))
+    factors = _chain(_pivots(_exponent_rows(pres)))
     return AbelianInvariants(
-        len(pres.generators) - units - snf.rank,
-        tuple(d for d in snf.diagonal if d > 1),
+        len(pres.generators) - len(factors), tuple(d for d in factors if d > 1)
     )
 
 

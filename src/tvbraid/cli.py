@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from .abelian import abelian_invariants, invariants_text
@@ -28,14 +29,20 @@ from .rs import KERNEL_TABLE, make_context, rewrite_tau
 from .suite import CHECKS, DEFAULT_SEED, format_report, run_suite
 from .words import ParseError, format_word, parse_word, reduce
 
+#: a rank is ASCII digits only: no sign, space, underscore or other script
+_DIGITS = re.compile("[0-9]+")
+
 
 def _parse_n(text: str) -> range:
     """Accept a single rank like "3" or an inclusive range like "2..4"."""
     lo, dots, hi = text.partition("..")
+    hi = hi if dots else lo
     error = argparse.ArgumentTypeError(f"bad rank{' range' if dots else ''} {text!r}")
+    if not (_DIGITS.fullmatch(lo) and _DIGITS.fullmatch(hi)):
+        raise error
     try:
-        start, stop = int(lo), int(hi if dots else lo)
-    except ValueError:
+        start, stop = int(lo), int(hi)
+    except ValueError:  # more digits than int() converts
         raise error from None
     if start > stop or start < 1:
         raise error

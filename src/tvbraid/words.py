@@ -247,7 +247,8 @@ class Word(FrozenRecord):
 
 
 _TOKEN = re.compile(
-    r"(?P<kind>[srglx])(?P<i>\d+)(?:,(?P<j>\d+))?(?::(?P<deco>[\d,]+))?(?:\^(?P<sign>-1))?\Z"
+    r"(?P<kind>[srglx])(?P<i>[0-9]+)(?:,(?P<j>[0-9]+))?"
+    r"(?::(?P<deco>[0-9,]+))?(?:\^(?P<sign>-1))?\Z"
 )
 
 
@@ -256,7 +257,7 @@ def _parse_deco(text: str) -> tuple[int, ...]:
         parts = text.removesuffix(",").split(",")
     else:
         parts = list(text)
-    if any(not p.isdigit() for p in parts):
+    if "" in parts:  # the token pattern lets only ASCII digits and commas in
         raise ParseError(f"bad decoration {text!r}")
     return tuple(int(p) for p in parts)
 

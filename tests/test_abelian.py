@@ -1,13 +1,13 @@
 import random
-from fractions import Fraction
 
 import pytest
 
-import tvbraid.abelian
 from tvbraid.abelian import (
     AbelianInvariants,
-    _dense,
-    _eliminate_units,
+    _chain,
+    _distinct,
+    _exponent_rows,
+    _pivots,
     abelian_invariants,
     invariants_text,
     minor_gcd_invariants,
@@ -18,18 +18,32 @@ from tvbraid.present import FAMILIES, build_presentation
 
 
 def test_frozen_smith_form():
-    s = smith_normal_form([[2, 0], [0, 3]])
-    assert s.diagonal == [1, 6]
-    assert s.rank == 2
+    assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
 
 
 def test_smith_form_edge_cases():
-    assert smith_normal_form([]).diagonal == []
-    assert smith_normal_form([[0, 0], [0, 0]]).diagonal == []
-    assert smith_normal_form([[4]]).diagonal == [4]
-    assert smith_normal_form([[-4]]).diagonal == [4]
-    s = smith_normal_form([[2, 4], [4, 8]])
-    assert s.diagonal == [2]
+    assert smith_normal_form([]) == []
+    assert smith_normal_form([[]]) == []
+    assert smith_normal_form([[0, 0], [0, 0]]) == []
+    assert smith_normal_form([[4]]) == [4]
+    assert smith_normal_form([[-4]]) == [4]
+    assert smith_normal_form([[2, 4], [4, 8]]) == [2]
+    assert smith_normal_form([[True, 0], [0, 2]]) == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[2.5]], "^matrix entry 2.5 is not an integer$"),
+        ([["4"]], "^matrix entry '4' is not an integer$"),
+        ([[1, 2], [3, 4.0]], "^matrix entry 4.0 is not an integer$"),
+        ([[1, 2], [3]], "^ragged matrix$"),
+        ([[1], [2.5, 3]], "^ragged matrix$"),
+    ],
+)
+def test_non_integral_and_ragged_matrices_are_rejected(matrix, message):
+    with pytest.raises(ValueError, match=message):
+        smith_normal_form(matrix)
 
 
 def test_divisibility_chain():
@@ -38,7 +52,7 @@ def test_divisibility_chain():
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         M = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
-        d = smith_normal_form(M).diagonal
+        d = smith_normal_form(M)
         assert all(x > 0 for x in d)
         for a, b in zip(d, d[1:]):
             assert b % a == 0, (M, d)
@@ -50,7 +64,7 @@ def test_against_minor_gcd_oracle():
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
         M = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
-        assert smith_normal_form(M).diagonal == minor_gcd_invariants(M), M
+        assert smith_normal_form(M) == minor_gcd_invariants(M), M
 
 
 def test_permutation_invariance():
@@ -59,53 +73,13 @@ def test_permutation_invariance():
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
         M = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-        d = smith_normal_form(M).diagonal
+        d = smith_normal_form(M)
         P = list(M)
         rng.shuffle(P)
         order = list(range(cols))
         rng.shuffle(order)
         P = [[row[k] for k in order] for row in P]
-        assert smith_normal_form(P).diagonal == d
-
-
-def _abs_det(M):
-    """|det M| by exact elimination over the rationals."""
-    M = [[Fraction(x) for x in row] for row in M]
-    det = Fraction(1)
-    for k in range(len(M)):
-        p = next((i for i in range(k, len(M)) if M[i][k]), None)
-        if p is None:
-            return 0
-        M[k], M[p] = M[p], M[k]
-        det *= M[k][k]
-        for i in range(k + 1, len(M)):
-            f = M[i][k] / M[k][k]
-            M[i] = [a - f * b for a, b in zip(M[i], M[k])]
-    return abs(det)
-
-
-def _check_column_transform(M):
-    s = smith_normal_form(M)
-    V = s.right
-    assert len(V) == s.cols and all(len(row) == s.cols for row in V)
-    assert _abs_det(V) == 1, M
-    for row in M:
-        for j in range(s.rank, s.cols):
-            assert sum(a * V[k][j] for k, a in enumerate(row)) == 0, (M, j)
-
-
-def test_column_transform_is_unimodular_and_kills_the_tail():
-    assert _abs_det([[2, 1], [4, 2]]) == 0 and _abs_det([[2, 1], [1, 1]]) == 1
-    rng = random.Random(23)
-    for _ in range(300):
-        rows = rng.randint(1, 6)
-        cols = rng.randint(1, 6)
-        _check_column_transform(
-            [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
-        )
-    for family in ("tvpn", "tvhn", "hln"):
-        for n in range(1, 5):
-            _check_column_transform(relation_matrix(build_presentation(family, n)))
+        assert smith_normal_form(P) == d
 
 
 #: a full 8x7 matrix on which a pivot rule that does not reduce the pivot's
@@ -122,23 +96,20 @@ RUNAWAY = [
 ]
 
 
-def _bits(s) -> int:
-    """Bit length of the largest entry of the diagonal and of V."""
-    entries = s.diagonal + [x for row in s.right for x in row]
-    return max(abs(x).bit_length() for x in entries)
+def _bits(diagonal) -> int:
+    """Bit length of the largest entry of the diagonal."""
+    return max((abs(x).bit_length() for x in diagonal), default=0)
 
 
 def test_smith_entries_stay_bounded_on_full_matrices():
-    s = smith_normal_form(RUNAWAY)
-    assert s.diagonal == minor_gcd_invariants(RUNAWAY) == [1] * 6 + [9]
-    assert _bits(s) <= 24
-    _check_column_transform(RUNAWAY)
+    d = smith_normal_form(RUNAWAY)
+    assert d == minor_gcd_invariants(RUNAWAY) == [1] * 6 + [9]
+    assert _bits(d) <= 24
     rng = random.Random(41)
     for _ in range(300):
         rows, cols = rng.randint(1, 8), rng.randint(1, 8)
         M = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
         assert _bits(smith_normal_form(M)) <= 80, M
-        _check_column_transform(M)
 
 
 FROZEN_INVARIANTS = {
@@ -218,10 +189,8 @@ def test_relation_matrix_shape():
 
 def _snf_invariants(pres):
     """The invariants read off the full Smith form of the relation matrix."""
-    snf = smith_normal_form(relation_matrix(pres))
-    return AbelianInvariants(
-        len(pres.generators) - snf.rank, tuple(d for d in snf.diagonal if d > 1)
-    )
+    d = smith_normal_form(relation_matrix(pres))
+    return AbelianInvariants(len(pres.generators) - len(d), tuple(x for x in d if x > 1))
 
 
 def test_invariants_match_the_full_smith_form():
@@ -239,52 +208,40 @@ def _random_rows(rng, rows, cols, values):
 
 
 def test_unit_elimination_matches_the_smith_form():
+    """The chain of the pivots, units first, is the Smith form: it equals
+    the minor-gcd oracle's invariant factors, and the input is untouched."""
     rng = random.Random(31)
-    units_seen = 0
+    units_seen = others_seen = 0
     for trial in range(600):
         values = (-3, -2, -1, 1, 2, 3) if trial % 2 else (-6, -4, -3, -2, 2, 3, 4, 6)
-        rows, cols = rng.randint(0, 7), rng.randint(1, 6)
+        rows, cols = rng.randint(0, 4), rng.randint(1, 4)
         sparse = _random_rows(rng, rows, cols, values)
         before = [dict(row) for row in sparse]
-        units, rest = _eliminate_units(sparse)
+        pivots = _pivots(sparse)
         assert sparse == before
-        units_seen += units
-        assert all(rest) and all(v for row in rest for v in row.values())
-        assert all(abs(v) != 1 for row in rest for v in row.values())
-        left = smith_normal_form(_dense(rest, cols))
-        full = smith_normal_form(_dense(sparse, cols))
-        assert [1] * units + left.diagonal == full.diagonal, sparse
-        assert units + left.rank == full.rank, sparse
-        if rows <= 4 and cols <= 4:
-            assert full.diagonal == minor_gcd_invariants(_dense(sparse, cols)), sparse
-    assert units_seen > 0
+        assert all(p > 0 for p in pivots)
+        units_seen += pivots.count(1)
+        others_seen += len(pivots) - pivots.count(1)
+        dense = [[row.get(j, 0) for j in range(cols)] for row in sparse]
+        assert _chain(pivots) == minor_gcd_invariants(dense), sparse
+    assert units_seen > 0 and others_seen > 0
 
 
 def test_repeated_and_negated_rows_are_dropped():
-    units, rest = _eliminate_units([{0: 2, 1: 4}, {}, {0: -2, 1: -4}, {0: 2, 1: 4}])
-    assert (units, rest) == (0, [{0: 2, 1: 4}])
-    units, rest = _eliminate_units([{0: 1, 1: 2}, {0: 3, 1: 2}, {1: 4}])
-    assert (units, rest) == (1, [{1: -4}])
+    rows = [{0: 2, 1: 4}, {}, {0: -2, 1: -4}, {0: 2, 1: 4}]
+    assert _distinct(rows) == [{0: 2, 1: 4}]
+    assert _pivots(rows) == [2]
+    assert _pivots([{}, {}]) == [] == _pivots([])
+    assert _pivots([{0: 1, 1: 2}, {0: 3, 1: 2}, {1: 4}]) == [1, 4]
+    assert _chain([2, 1, 3, 4]) == [1, 1, 2, 12]
 
 
-def _smith_inputs(monkeypatch, family, n):
-    seen = []
-
-    def recording(matrix):
-        seen.append(matrix)
-        return smith_normal_form(matrix)
-
-    monkeypatch.setattr(tvbraid.abelian, "smith_normal_form", recording)
-    abelian_invariants(build_presentation(family, n))
-    monkeypatch.undo()
-    assert len(seen) == 1
-    return seen[0]
-
-
-def test_unit_pivots_leave_the_smith_form_little_work(monkeypatch):
-    for family in ("pln", "hln"):
-        for n in (5, 6):
-            assert _smith_inputs(monkeypatch, family, n) == [], (family, n)
-    for family in ("tvpn", "tvhn"):
-        matrix = _smith_inputs(monkeypatch, family, 5)
-        assert matrix and all(len(row) <= 5 for row in matrix), family
+def test_unit_pivots_leave_the_smith_form_little_work():
+    """pln abelianizes with no pivot and hln with units only; tvpn and tvhn
+    leave exactly n non-unit pivots, each 2, after the units."""
+    for n, hln in ((5, 39), (6, 59)):
+        assert _pivots(_exponent_rows(build_presentation("pln", n))) == [], n
+        assert _pivots(_exponent_rows(build_presentation("hln", n))) == [1] * hln, n
+        for family in ("tvpn", "tvhn"):
+            pivots = _pivots(_exponent_rows(build_presentation(family, n)))
+            assert [p for p in pivots if p != 1] == [2] * n, (family, n)

@@ -1,9 +1,13 @@
 import io
 import json
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvbraid import cli
 from tvbraid.cli import main
@@ -99,9 +103,10 @@ def test_json_empty_batch(capsys, monkeypatch, argv):
 
 
 def test_parse_error_exit(capsys):
-    code, _, err = run_cli(capsys, "normalize", "-n", "3", "q1")
-    assert code == 2
-    assert "error:" in err
+    # indices are ASCII digits only
+    for token in ("q1", "s\u0661", "l1,2:\u0661"):
+        code, out, err = run_cli(capsys, "normalize", "-n", "3", token)
+        assert (code, out, err) == (2, "", f"error: bad token {token!r}\n")
 
 
 def test_domain_error_exit(capsys):
@@ -176,12 +181,18 @@ def test_usage_error_exit(capsys):
         (("rewrite", "--into", "tvp", "-n", "2..4", "s1"), "rank ranges are only accepted by verify"),
         (("verify", "--all", "-n", "4..2"), "bad rank range '4..2'"),
         (("normalize", "-n", "0", "s1"), "bad rank '0'"),
+        # ranks are ASCII digits only
+        (("normalize", "-n", "1_0", "s1"), "bad rank '1_0'"),
+        (("normalize", "-n", "\u0663", "s1"), "bad rank '\u0663'"),
+        (("normalize", "-n", "+3", "s1"), "bad rank '+3'"),
+        (("normalize", "-n", " 3", "s1"), "bad rank ' 3'"),
     ],
 )
 def test_rank_errors_keep_their_message(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.endswith(f"error: argument -n: {message}\n")
+    assert err.count("error:") == 1
 
 
 def test_verify_single_check(capsys):
@@ -293,3 +304,45 @@ def test_rewrite_at_rank_eight():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "l1,2^-1 l2,3:2\n"
+
+
+#: the ASCII grammar of a rank and of a word token, written out here
+RANK = re.compile(r"[0-9]+")
+TOKEN = re.compile(r"[srglx][0-9]+(,[0-9]+)?(:[0-9,]+)?(\^-1)?")
+
+#: ASCII digits, then Arabic-Indic, Devanagari and fullwidth three, and a
+#: superscript two, which is a digit to str.isdigit but not to int()
+_digits = st.text(st.sampled_from("0123456789\u0663\u0969\uff13\u00b2"), min_size=1, max_size=3)
+_index = st.one_of(st.integers(1, 4).map(str), _digits)
+_deco = st.one_of(
+    st.sampled_from(["", ":1", ":21", ":1,2", ":2,", ":1,1", ":,", ":\u0661"]),
+    _digits.map(":".__add__),
+)
+_sign = st.sampled_from(["", "^-1", "^1"])
+_grammar_token = st.one_of(
+    st.sampled_from(["s1", "r2", "g3^-1", "l1,2:1", "x2,1:12^-1", "l1,3"]),
+    st.builds("{}{}{}".format, st.sampled_from("srg"), _index, _sign),
+    st.builds("{}{},{}{}{}".format, st.sampled_from("lx"), _index, _index, _deco, _sign),
+)
+_junk = st.text(st.sampled_from("sglx1,:^- _+\u0661\t"), min_size=1, max_size=6)
+_rank = st.one_of(
+    st.integers(3, 12).map(str),
+    st.one_of(_digits, st.sampled_from(["0", "1_0", "+3", " 3", "3 ", "2..4", ""])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rank, st.lists(st.one_of(_grammar_token, _junk), min_size=1, max_size=3))
+def test_generated_normalize_input_answers_or_exits_2(rank, tokens):
+    """Any rank and tokens either normalize (exit 0) or fail as unusable
+    input (exit 2) without a traceback, and exit 0 only on ASCII input."""
+    # argparse would read a word that starts with "-" as an option
+    tokens = [t for t in tokens if not t.lstrip().startswith("-")] or ["s1"]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["normalize", "-n", rank, *tokens])
+    assert code in (0, 2), (rank, tokens, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert RANK.fullmatch(rank), rank
+        assert all(TOKEN.fullmatch(t) for word in tokens for t in word.split()), tokens

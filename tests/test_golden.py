@@ -8,10 +8,10 @@ words of every transversal kind at n=2..5, in the order the library
 produces them, the sha256 of
 every stored presentation at n=1..6, and of tvpn, tvhn, pln and hln at
 n=7 as well (its text followed by its JSON), and the sha256 of the Smith
-form (diagonal, rank and column transform V) of the relation matrix of
-every family at n=1..6, and of tvpn, tvhn and hln at n=7, plus one digest
-over 500 seeded random matrices up to 8x8, at most half full, with
-entries -6..6, and the sha256 of the classification of every Schreier
+form (the invariant factors, whose number is the rank) of the relation
+matrix of every family at n=1..6, and of tvpn, tvhn and hln at n=7, plus
+one digest over 500 seeded random matrices up to 8x8, at most half full,
+with entries -6..6, and the sha256 of the classification of every Schreier
 column of every kernel context at n=2..4.
 """
 
@@ -92,14 +92,13 @@ def test_presentation_digests():
 def _smith_digest(matrices):
     h = hashlib.sha256()
     for m in matrices:
-        s = smith_normal_form(m)
-        h.update(json.dumps([s.diagonal, s.rank, s.right]).encode())
+        h.update(json.dumps(smith_normal_form(m)).encode())
     return h.hexdigest()
 
 
 def _random_matrices(count=500, seed=31):
     """Small matrices, up to half full: non-unit pivots, zero rows and
-    columns, and diagonals that need the divisibility pass."""
+    columns, and pivots whose gcd/lcm chain differs from them."""
     rng = random.Random(seed)
 
     def entry(density):

@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from tvbraid.abelian import AbelianInvariants, SmithForm
+from tvbraid.abelian import AbelianInvariants
 from tvbraid.homs import Homomorphism
 from tvbraid.perms import FlipVector, Permutation, SignedPermutation
 from tvbraid.present import Relator, build_presentation, transcribed_pl_table
@@ -126,12 +126,9 @@ def test_mutable_records():
     assert repr(report) == (
         "CheckReport(check_id='x', n=2, status='fail', details='ok', seconds=1.5)"
     )
-    snf = SmithForm([1, 2], 2, [[1, 0], [0, 1]], 2)
-    assert snf == SmithForm([1, 2], 2, [[1, 0], [0, 1]], 2)
-    assert repr(snf) == "SmithForm(diagonal=[1, 2], rank=2, right=[[1, 0], [0, 1]], cols=2)"
     w = parse_word("s1", 2)
     assert RewriteResult(w, w) == RewriteResult(w, Word(2, w.atoms))
-    for record in (report, snf, RewriteResult(w, w)):
+    for record in (report, RewriteResult(w, w)):
         with pytest.raises(TypeError):
             hash(record)
 
