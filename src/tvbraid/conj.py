@@ -1,7 +1,8 @@
 """Bar-conjugation algebra on decorated pair generators.
 
 A decorated atom l<i>,<j>:<S> stands for the pair generator conjugated by
-the bars named in S.  Conjugation by a single bar g<k> either fixes the
+the bars named in S, g_S^-1 l<i>,<j> g_S, and ``_expanded`` alone writes
+it out that way.  Conjugation by a single bar g<k> either fixes the
 atom (k outside the pair) or toggles k's membership in the decoration, so
 conjugation by a set of bars toggles, in each atom's decoration, those of
 its two strands that lie in the set; conjugating by the full ambient
@@ -21,14 +22,12 @@ one-bar body as the reference that the tests check ``_act`` against.
 from __future__ import annotations
 
 from .perms import Permutation
-from .words import Atom, Word, _atom, canonical_key, gamma
-
-_DECORATED = ("l", "x")
+from .words import _PAIRED, Atom, Word, _atom, canonical_key, gamma
 
 
 def canonicalize_atom(a: Atom) -> Atom:
     """Fold a pair atom to its i < j canonical form via the swap identity."""
-    if a.kind not in _DECORATED:
+    if a.kind not in _PAIRED:
         return a
     i, j = a.i, a.j
     if i < j:
@@ -47,7 +46,7 @@ def act_gamma(k: int, a: Atom) -> Atom:
     """Conjugate a canonical decorated atom (or a bar atom) by g<k>."""
     if a.kind == "g":
         return a
-    if a.kind not in _DECORATED:
+    if a.kind not in _PAIRED:
         raise ValueError(f"act_gamma undefined for kind {a.kind!r}")
     a = canonicalize_atom(a)
     if k not in (a.i, a.j):
@@ -65,7 +64,7 @@ def _act(atoms, bars, p: Permutation | None = None) -> tuple:
     bars = set(bars)
     out = []
     for a in atoms:
-        if a.kind in _DECORATED:
+        if a.kind in _PAIRED:
             a = canonicalize_atom(a)
             i, j = a.i, a.j
             if p is not None or i in bars or j in bars:
@@ -82,25 +81,6 @@ def _act(atoms, bars, p: Permutation | None = None) -> tuple:
             a = gamma(p(a.i))
         out.append(a)
     return tuple(out)
-
-
-def normalize_decorated(w: Word) -> Word:
-    """Push every bar atom to the right end, absorbing it into decorations.
-
-    Scans left to right with a pending bar set; each decorated atom gets the
-    pending conjugators applied, each bar toggles the set.  The result is
-    the canonical decorated atoms in order, then the remaining bars
-    ascending.  Signs survive, since conjugation commutes with inversion.
-    """
-    pending: set[int] = set()
-    out = []
-    for a in w.atoms:
-        if a.kind == "g":
-            pending.symmetric_difference_update({a.i})
-        else:
-            out += _act((a,), pending)
-    out.extend(gamma(k) for k in sorted(pending))
-    return Word._trusted(w.n, tuple(out))
 
 
 def conjugate_by_bars(ks, w: Word) -> Word:
@@ -139,23 +119,18 @@ def conjugation_orbit(w: Word) -> list[Word]:
 
 
 def _expanded(a: Atom) -> tuple:
+    """The atom with its decoration written out: descending conjugator
+    bars, the bare atom, ascending bars."""
     asc = tuple(gamma(k) for k in a.deco)
     return asc[::-1] + (_atom(a.kind, a.i, a.j, (), a.sign),) + asc
 
 
-def expand_atom(a: Atom, n: int) -> Word:
-    """Decorated atom as a word over the undecorated pair alphabet plus bars:
-    descending conjugator bars, the bare pair atom, ascending bars."""
-    if a.kind not in _DECORATED:
-        raise ValueError(f"expand_atom is for pair atoms, got {a.kind!r}")
-    return Word(n, _expanded(a))
-
-
 def expand_word(w: Word) -> Word:
-    """Each decorated pair atom replaced by ``expand_atom``'s word."""
+    """The word over undecorated pair atoms and bars: each decorated pair
+    atom replaced by ``_expanded``'s atoms."""
     out = []
     for a in w.atoms:
-        if a.kind in _DECORATED and a.deco:
+        if a.deco:
             out.extend(_expanded(a))
         else:
             out.append(a)

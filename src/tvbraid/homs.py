@@ -118,13 +118,13 @@ def _flip_images(n, pair_kind):
 
 
 def _pl_to_vp_images(n, pair_kind):
-    empty = Word(n, (), "PureTwisted")
+    empty = Word(n, ())
     images = {}
     for i, j in combinations(range(1, n + 1), 2):
-        images[_atom(pair_kind, i, j)] = Word(n, [lam(i, j)], "PureTwisted")
+        images[_atom(pair_kind, i, j)] = Word(n, [lam(i, j)])
         images[_atom(pair_kind, i, j, (i,))] = empty
         images[_atom(pair_kind, i, j, (j,))] = empty
-        images[_atom(pair_kind, i, j, (i, j))] = Word(n, [lam(j, i)], "PureTwisted")
+        images[_atom(pair_kind, i, j, (i, j))] = Word(n, [lam(j, i)])
     return images, empty
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import chain, combinations, permutations
 
 from ._record import FrozenRecord
-from .conj import _bar_subsets, canonicalize_atom, conjugate_by_bars, expand_atom
+from .conj import _bar_subsets, _expanded, canonicalize_atom, conjugate_by_bars
 from .words import (
     Atom,
     Word,
@@ -40,7 +40,6 @@ from .words import (
     reduce,
     rho,
     sigma,
-    strip_sign,
     xgen,
 )
 
@@ -325,10 +324,12 @@ def generator_expression(a: Atom, n: int, family: str) -> Word:
     pair generator is r<i> s<i>^-1 and its transpose s<i>^-1 r<i>; the
     unsigned virtual-pure convention is r<i> s<i> and s<i> r<i>; the x
     flavour uses s<i> and r<i> s<i> r<i>.  Distant pairs conjugate the
-    adjacent one by a descending chain of virtual crossings.
+    adjacent one by a descending chain of virtual crossings.  A decorated
+    generator is the expression of its expansion into bars and the bare
+    generator.
     """
     if a.kind == "g":
-        return Word(n, [a], "Ambient")
+        return Word(n, [a])
     if a.kind not in ("l", "x"):
         raise ValueError(f"no expression for kind {a.kind!r}")
     style = _EXPR_STYLE.get(family)
@@ -337,9 +338,9 @@ def generator_expression(a: Atom, n: int, family: str) -> Word:
     if (a.kind == "x") != (style == "x"):
         raise ValueError(f"atom kind {a.kind!r} does not belong to family {family!r}")
     if a.deco:
-        bars = [gamma(k) for k in a.deco]
-        core = generator_expression(_atom(a.kind, a.i, a.j, (), a.sign), n, family)
-        return Word(n, tuple(reversed(bars)) + core.atoms + tuple(bars))
+        return Word(
+            n, [c for b in _expanded(a) for c in generator_expression(b, n, family)]
+        )
     i, j = (a.i, a.j) if a.i < a.j else (a.j, a.i)
     if style == "signed":
         base = [rho(i), sigma(i, -1)] if a.i < a.j else [sigma(i, -1), rho(i)]
@@ -351,47 +352,27 @@ def generator_expression(a: Atom, n: int, family: str) -> Word:
     atoms = tuple(chain) + tuple(base) + tuple(reversed(chain))
     if a.sign == -1:
         atoms = _raw_invert_atoms(atoms)
-    return Word(n, atoms, "Ambient")
+    return Word(n, atoms)
 
 
-def standard_removals(pres: Presentation) -> dict[Atom, Word]:
-    """Larger-first pair generators with their swap-identity replacements."""
-    out = {}
-    for g in pres.generators:
-        if g.kind in ("l", "x") and g.i > g.j:
-            out[g] = expand_atom(canonicalize_atom(g), pres.n)
-    return out
+def reduced_presentation(pres: Presentation) -> Presentation:
+    """Tietze elimination of the larger-first pair generators through the
+    swap identity.
 
-
-def eliminate_generators(pres: Presentation, removals: dict[Atom, Word]) -> Presentation:
-    """Tietze elimination: substitute each removed generator everywhere and
-    drop relators that become trivial.
-
-    Substituted relators are fully reduced (involution cancellation is
-    sound: the square relators stay in the presentation).  Untouched
-    relators pass through as stored.
+    A relator holding a larger-first atom is folded to canonical atoms,
+    has its decorations written out as bars, is fully reduced (sound: the
+    involution squares are relators too) and is dropped if empty.  Every
+    other relator passes through as stored, so those squares survive.
     """
-    for g in removals:
-        if g not in pres.generators:
-            raise ValueError(f"{format_atom(g)} is not a generator")
-    gens = [g for g in pres.generators if g not in removals]
-    sub = {g: tuple(w.atoms) for g, w in removals.items()}
-    inv_sub = {g: _raw_invert_atoms(atoms) for g, atoms in sub.items()}
+    gens = [g for g in pres.generators if canonicalize_atom(g) == g]
     out = []
     for r in pres.relators:
-        touched = False
-        atoms: list[Atom] = []
-        for a in r.word.atoms:
-            pos = strip_sign(a)
-            if pos in sub:
-                touched = True
-                atoms.extend(sub[pos] if a.sign == 1 else inv_sub[pos])
-            else:
-                atoms.append(a)
-        if not touched:
+        folded = tuple(map(canonicalize_atom, r.word.atoms))
+        if folded == r.word.atoms:
             out.append((r.rid, r.word))
             continue
-        w = reduce(Word(pres.n, atoms))
+        atoms = tuple(b for a in folded for b in _expanded(a))
+        w = reduce(Word._trusted(pres.n, atoms))
         if w.atoms:
             out.append((r.rid, w))
     return Presentation(f"{pres.family}-reduced", pres.n, gens, _dedup(out))
@@ -407,33 +388,35 @@ def eliminate_generators(pres: Presentation, removals: dict[Atom, Word]) -> Pres
 # ---------------------------------------------------------------------------
 
 _PL_TRIPLE_ROWS = [
-    ("A1", ("ij", "ik", "jk"), ("", "", ""), None),
-    ("A2", ("ij", "ik", "jk"), ("i", "i", ""), None),
-    ("A3", ("ij", "ik", "jk"), ("j", "", "j"), None),
-    ("A4", ("ij", "ik", "jk"), ("", "k", "k"), None),
-    ("A5", ("ij", "ik", "jk"), ("ij", "i", "j"), None),
-    ("A6", ("ij", "ik", "jk"), ("j", "k", "jk"), None),
-    ("A7", ("ij", "ik", "jk"), ("i", "ik", "k"), None),
-    ("A8", ("ij", "ik", "jk"), ("ij", "ik", "jk"), None),
-    ("B1", ("ij", "jk", "ik"), ("ij", "", ""), None),
-    ("B2", ("ij", "jk", "ik"), ("j", "", "i"), None),
-    ("B3", ("ij", "jk", "ik"), ("i", "j", ""), None),
-    ("B4", ("ij", "jk", "ik"), ("", "j", "i"), None),
-    ("B5", ("ij", "jk", "ik"), ("ij", "k", "k"), None),
-    ("B6", ("ij", "jk", "ik"), ("i", "jk", "k"), None),
-    ("B7", ("ij", "jk", "ik"), ("j", "k", "ik"), None),
-    ("B8", ("ij", "jk", "ik"), ("", "jk", "ik"), None),
-    ("C1", ("ik", "ij", "jk"), ("", "", "jk"), None),
-    ("C2", ("ik", "ij", "jk"), ("i", "i", "jk"), None),
-    ("C3", ("ik", "ij", "jk"), ("", "j", "k"), None),
-    ("C4", ("ik", "ij", "jk"), ("k", "", "j"), None),
-    ("C5", ("ik", "ij", "jk"), ("i", "ij", "k"), None),
-    # Printed with an unmirrored right side: the final atom repeats the
-    # pair ik but carries decoration j.
-    ("C6", ("ik", "ij", "jk"), ("k", "j", "jk"), ("jk", "ij", "ik"), ("jk", "j", "j")),
-    ("C7", ("ik", "ij", "jk"), ("ik", "i", "j"), None),
-    ("C8", ("ik", "ij", "jk"), ("ik", "ij", ""), None),
+    ("A1", ("ij", "ik", "jk"), ("", "", "")),
+    ("A2", ("ij", "ik", "jk"), ("i", "i", "")),
+    ("A3", ("ij", "ik", "jk"), ("j", "", "j")),
+    ("A4", ("ij", "ik", "jk"), ("", "k", "k")),
+    ("A5", ("ij", "ik", "jk"), ("ij", "i", "j")),
+    ("A6", ("ij", "ik", "jk"), ("j", "k", "jk")),
+    ("A7", ("ij", "ik", "jk"), ("i", "ik", "k")),
+    ("A8", ("ij", "ik", "jk"), ("ij", "ik", "jk")),
+    ("B1", ("ij", "jk", "ik"), ("ij", "", "")),
+    ("B2", ("ij", "jk", "ik"), ("j", "", "i")),
+    ("B3", ("ij", "jk", "ik"), ("i", "j", "")),
+    ("B4", ("ij", "jk", "ik"), ("", "j", "i")),
+    ("B5", ("ij", "jk", "ik"), ("ij", "k", "k")),
+    ("B6", ("ij", "jk", "ik"), ("i", "jk", "k")),
+    ("B7", ("ij", "jk", "ik"), ("j", "k", "ik")),
+    ("B8", ("ij", "jk", "ik"), ("", "jk", "ik")),
+    ("C1", ("ik", "ij", "jk"), ("", "", "jk")),
+    ("C2", ("ik", "ij", "jk"), ("i", "i", "jk")),
+    ("C3", ("ik", "ij", "jk"), ("", "j", "k")),
+    ("C4", ("ik", "ij", "jk"), ("k", "", "j")),
+    ("C5", ("ik", "ij", "jk"), ("i", "ij", "k")),
+    ("C6", ("ik", "ij", "jk"), ("k", "j", "jk")),
+    ("C7", ("ik", "ij", "jk"), ("ik", "i", "j")),
+    ("C8", ("ik", "ij", "jk"), ("ik", "ij", "")),
 ]
+
+# Row C6 is printed with an unmirrored right side: the final atom repeats
+# the pair ik but carries decoration j.
+_PL_C6_RHS = (("jk", "ij", "ik"), ("jk", "j", "j"))
 
 _PL_COMM_DECOS = [
     ("", ""),
@@ -470,23 +453,15 @@ def transcribed_pl_table(n: int) -> list[tuple[str, Word]]:
     registry and attribute any mismatch to a row id.
     """
     out = []
-    for row in _PL_TRIPLE_ROWS:
-        if len(row) == 4:
-            row_id, order, decos, _ = row
-            rhs_row = None
-        else:
-            row_id, order, decos, rhs_order, rhs_decos = row
-            rhs_row = (rhs_order, rhs_decos)
+    for row_id, order, decos in _PL_TRIPLE_ROWS:
         for i, j, k in combinations(range(1, n + 1), 3):
             env = {"i": i, "j": j, "k": k}
             lhs = [_table_atom(p, d, env) for p, d in zip(order, decos)]
-            if rhs_row is None:
-                rhs = list(reversed(lhs))
+            if row_id == "C6":
+                rhs = [_table_atom(p, d, env) for p, d in zip(*_PL_C6_RHS)]
             else:
-                rhs = [_table_atom(p, d, env) for p, d in zip(*rhs_row)]
-            out.append(
-                (f"{row_id}({i},{j},{k})", _eq(n, lhs, rhs))
-            )
+                rhs = list(reversed(lhs))
+            out.append((f"{row_id}({i},{j},{k})", _eq(n, lhs, rhs)))
     for (i, j), (k, l) in combinations(combinations(range(1, n + 1), 2), 2):
         if not {i, j}.isdisjoint({k, l}):
             continue

@@ -342,7 +342,7 @@ def _cell(ctx: RSContext, cur: int, k: int):
 class RewriteResult(Record):
     """The freely reduced rewrite and the raw atoms of a walk, held as ids
     into a sequence of atoms (for a walk, its context's generators) and
-    built into words when read."""
+    built into words when read.  Both keep squares of r and g generators."""
 
     _fields = ("word", "raw")
     __slots__ = ("_n", "_gens", "_word", "_raw")
@@ -371,8 +371,8 @@ def rewrite_tau(ctx: RSContext, u: Word, start: int | None = None) -> RewriteRes
     Walks u letter by letter through the context's coset cells from the
     coset id start, by default the identity's, and free-reduces the
     collected atoms as it goes.  The result keeps the raw atom sequence
-    alongside the freely reduced word, so squares of involution generators
-    survive.
+    alongside the freely reduced word.  Both keep squares of involution
+    generators: r and g generators have no cancelling generator.
 
     Raises ValueError when start is not a coset id the context has
     numbered, and when the walk does not end at its start coset: from the

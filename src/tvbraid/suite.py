@@ -104,7 +104,7 @@ def _check_transversal(n: int, seed: int):
         return False, f"transversal size {len(set(reps))}, expected {factorial(n)}"
     for w in reps:
         for k in range(len(w.atoms)):
-            prefix = Word(n, w.atoms[:k], "Ambient")
+            prefix = Word(n, w.atoms[:k])
             if tr.lookup(_raw_image(ctx.hom, prefix)) != prefix:
                 return False, (
                     f"prefix {format_word(prefix)!r} of {format_word(w)!r} "

@@ -26,10 +26,10 @@ form: neither applies the swap identity of ``tvbraid.conj``.
 
 A word is its rank and its atoms.  Input is validated at the boundary:
 ``parse_word`` and the public ``Atom`` and ``Word`` constructors check
-everything, including that the atoms lie in a named alphabet, which is
-checked and not stored.  Atoms the library builds come from one table that
-validates each value the first time it is seen, and words derived from
-already checked words skip the checks.
+every index against the rank and every decoration against its pair.
+Atoms the library builds come from one table that validates each value
+the first time it is seen, and words derived from already checked words
+skip the checks.
 """
 
 from __future__ import annotations
@@ -44,19 +44,9 @@ _INVOLUTION = frozenset("rg")
 _PAIRED = frozenset("lx")
 _KIND_ORDER = {"g": 0, "r": 1, "s": 2, "l": 3, "x": 4}
 
-#: Alphabet name -> atom kinds it admits, for the checks of Word.
-ALPHABETS = {
-    "Ambient": frozenset("srg"),
-    "PureTwisted": frozenset("lg"),
-    "HTwisted": frozenset("xg"),
-    "DecoratedPL": frozenset("l"),
-    "DecoratedHL": frozenset("x"),
-    "Mixed": frozenset("srglx"),
-}
-
 
 class ParseError(ValueError):
-    """Malformed word text or a token outside the requested alphabet."""
+    """Malformed word text, or a word that does not fit its rank."""
 
 
 class Atom(FrozenRecord):
@@ -189,23 +179,17 @@ def xgen(i: int, j: int, deco=(), sign: int = 1) -> Atom:
 class Word(FrozenRecord):
     """Immutable atom sequence: a word is its rank and its atoms.
 
-    The constructor checks the atoms against the rank and the named
-    alphabet, and that each decoration lies inside its pair.  The alphabet
-    is checked, not stored.
+    The constructor checks the atoms against the rank, and that each
+    decoration lies inside its pair.
     """
 
     __slots__ = _fields = ("n", "atoms")
 
-    def __init__(self, n: int, atoms=(), alphabet: str = "Mixed"):
-        if alphabet not in ALPHABETS:
-            raise ValueError(f"unknown alphabet tag {alphabet!r}")
+    def __init__(self, n: int, atoms=()):
         if n < 1:
             raise ValueError(f"rank must be at least 1, got {n}")
         atoms = tuple(atoms)
-        kinds = ALPHABETS[alphabet]
         for a in atoms:
-            if a.kind not in kinds:
-                raise ParseError(f"atom kind {a.kind!r} not in alphabet {alphabet}")
             if a.kind in ("s", "r"):
                 if a.i > n - 1:
                     raise ParseError(f"index {a.i} out of range for rank {n}")
@@ -262,7 +246,7 @@ def _parse_deco(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
-def parse_word(text: str, n: int, alphabet: str = "Mixed") -> Word:
+def parse_word(text: str, n: int) -> Word:
     """Parse space-separated atom tokens into a Word of the given rank."""
     atoms = []
     for tok in text.split():
@@ -270,20 +254,23 @@ def parse_word(text: str, n: int, alphabet: str = "Mixed") -> Word:
         if m is None:
             raise ParseError(f"bad token {tok!r}")
         kind = m.group("kind")
-        i = int(m.group("i"))
-        j = int(m.group("j")) if m.group("j") else None
-        deco = _parse_deco(m.group("deco")) if m.group("deco") else ()
         sign = -1 if m.group("sign") else 1
-        if deco and kind not in _PAIRED:
-            raise ParseError(f"kind {kind!r} cannot carry a decoration: {tok!r}")
-        if len(set(deco)) != len(deco):
-            raise ParseError(f"decoration names an index twice: {tok!r}")
         try:
+            # int() refuses more digits than the interpreter's conversion limit
+            i = int(m.group("i"))
+            j = int(m.group("j")) if m.group("j") else None
+            deco = _parse_deco(m.group("deco")) if m.group("deco") else ()
+            if deco and kind not in _PAIRED:
+                raise ParseError(f"kind {kind!r} cannot carry a decoration: {tok!r}")
+            if len(set(deco)) != len(deco):
+                raise ParseError(f"decoration names an index twice: {tok!r}")
             atoms.append(Atom(kind, i, j, tuple(sorted(deco)), sign))
+        except ParseError:
+            raise
         except ValueError as exc:
             raise ParseError(f"bad token {tok!r}: {exc}") from None
     try:
-        return Word(n, atoms, alphabet)
+        return Word(n, atoms)
     except ParseError:
         raise
     except ValueError as exc:

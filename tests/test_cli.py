@@ -109,6 +109,15 @@ def test_parse_error_exit(capsys):
         assert (code, out, err) == (2, "", f"error: bad token {token!r}\n")
 
 
+def test_overlong_index_is_a_bad_token(capsys):
+    # past the interpreter's limit on digits converted by int()
+    long = "1" * 5000
+    for token in ("s" + long, "l1,2" + long, f"l1,2:{long},"):
+        code, out, err = run_cli(capsys, "normalize", "-n", "3", token)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: bad token {token!r}: ") and err.count("\n") == 1
+
+
 def test_domain_error_exit(capsys):
     code, _, err = run_cli(capsys, "rewrite", "--into", "tvp", "-n", "3", "s1")
     assert code == 3

@@ -13,7 +13,6 @@ from tvbraid.conj import (
     check_generator_identification,
     conjugate_by_bars,
     conjugation_orbit,
-    normalize_decorated,
 )
 from tvbraid.homs import _raw_image, make_hom
 from tvbraid.perms import Permutation
@@ -22,7 +21,6 @@ from tvbraid.present import (
     _pair_relators,
     _x_braids,
     build_presentation,
-    generator_expression,
 )
 from tvbraid.words import (
     Word,
@@ -135,45 +133,6 @@ def test_strand_action_is_an_action():
 def test_strand_action_on_bars():
     p = Permutation((2, 3, 1))
     assert _rename(p, gamma(1)) == gamma(2)
-
-
-def _to_ambient(w, family):
-    atoms = []
-    for a in w.atoms:
-        if a.kind == "g":
-            atoms.append(a)
-        else:
-            atoms.extend(generator_expression(a, w.n, family).atoms)
-    return Word(w.n, atoms, "Ambient")
-
-
-def test_normalize_decorated_matches_raw_conjugation():
-    # pushing bars to the end must not change the image in the ambient group
-    h = make_hom("phiPT", 3)
-    words = [
-        (parse_word("g1 l1,2 g1", 3), "tvpn"),
-        (parse_word("g2 l1,2:1 g1 l2,3 g2 g1", 3), "tvpn"),
-        (parse_word("g1 g2 x1,3^-1 g3 x1,2 g1 g2 g3", 3), "tvhn"),
-        (parse_word("g1 g1 l1,3", 3), "tvpn"),
-    ]
-    for w, family in words:
-        nw = normalize_decorated(w)
-        assert _raw_image(h, _to_ambient(nw, family)) == _raw_image(
-            h, _to_ambient(w, family)
-        )
-
-
-def test_normalize_decorated_folds_every_atom():
-    # g3 commutes with l2,1, so both words are the same element
-    for text in ("l2,1", "g3 l2,1 g3"):
-        assert format_word(normalize_decorated(parse_word(text, 3))) == "l1,2:12"
-
-
-def test_normalize_decorated_bar_suffix():
-    nw = normalize_decorated(parse_word("g2 l1,2 g1", 3))
-    kinds = [a.kind for a in nw.atoms]
-    assert kinds == ["l", "g", "g"]
-    assert [a.i for a in nw.atoms if a.kind == "g"] == [1, 2]
 
 
 def test_conjugation_orbit_size():

@@ -108,19 +108,17 @@ def test_decorated_sources_expand():
 
 def test_decorated_alphabets_expand_with_bars():
     # decorated words evaluate through their expansion with bars, and the
-    # relators derived for pl stay inside DecoratedPL
-    for name, pair, alphabet in (
-        ("psiP", lam, "DecoratedPL"),
-        ("psiH", xgen, "DecoratedHL"),
-    ):
-        w = Word(3, [pair(1, 2, (1,))], alphabet)
+    # relators derived for pl and hl use only canonical pair atoms of their kind
+    for name, pair in (("psiP", lam), ("psiH", xgen)):
+        w = Word(3, [pair(1, 2, (1,))])
         assert format_element(image(make_hom(name, 3), w)) == "[0,0,0]"
-    h = make_hom("psiP", 3)
-    derived = derive_relators(make_context("pl", 3))
-    assert derived
-    for d in derived:
-        Word(3, d.word.atoms, "DecoratedPL")  # raises on an atom outside it
-    assert all(image(h, d.word).is_identity() for d in derived)
+    for name, ctx_name, kind in (("psiP", "pl", "l"), ("psiH", "hl", "x")):
+        h = make_hom(name, 3)
+        derived = derive_relators(make_context(ctx_name, 3))
+        assert derived
+        for d in derived:
+            assert all(a.kind == kind and a.i < a.j for a in d.word.atoms), d.rid
+        assert all(image(h, d.word).is_identity() for d in derived)
 
 
 def test_rank_mismatch():

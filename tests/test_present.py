@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -10,11 +11,10 @@ from tvbraid.present import (
     _comm,
     _eq,
     build_presentation,
-    eliminate_generators,
     generator_expression,
     presentation_dict,
     presentation_text,
-    standard_removals,
+    reduced_presentation,
     transcribed_pl_table,
 )
 from tvbraid.words import (
@@ -122,7 +122,7 @@ def test_dedup_is_handed_reduced_words(monkeypatch):
     for family in FAMILIES:
         for n in range(2, 6):
             pres = build_presentation(family, n)
-            eliminate_generators(pres, standard_removals(pres))
+            reduced_presentation(pres)
     assert seen > 0
 
 
@@ -178,6 +178,8 @@ def test_generator_expressions_frozen():
         ("tvhn", xgen(1, 3), "r2 s1 r2"),
         ("tvhn", xgen(3, 1), "r2 r1 s1 r1 r2"),
         ("pln", lam(1, 2, (1,)), "g1 r1 s1^-1 g1"),
+        ("tvpn", lam(2, 1, (1, 2)), "g2 g1 s1^-1 r1 g1 g2"),
+        ("hln", xgen(1, 3, (1, 3), sign=-1), "g3 g1 r2 s1^-1 r2 g1 g3"),
         ("tvpn", lam(1, 2, sign=-1), "s1 r1"),
         ("tvpn", gamma(2), "g2"),
     ]
@@ -236,13 +238,13 @@ def displayed_reduced_tvp3():
 
 def test_elimination_matches_displayed_reduced_presentation():
     pres = build_presentation("tvpn", 3)
-    removals = standard_removals(pres)
-    assert sorted(format_word(Word(3, [a])) for a in removals) == [
+    red = reduced_presentation(pres)
+    removed = set(pres.generators) - set(red.generators)
+    assert sorted(format_word(Word(3, [a])) for a in removed) == [
         "l2,1",
         "l3,1",
         "l3,2",
     ]
-    red = eliminate_generators(pres, removals)
     assert len(red.generators) == 6
     assert red.family == "tvpn-reduced"
     assert len(red.relators) == 18
@@ -251,6 +253,33 @@ def test_elimination_matches_displayed_reduced_presentation():
     got = {canonical_key(reduce(expand_word(r.word))) for r in red.relators}
     want = {canonical_key(reduce(expand_word(w))) for w in displayed_reduced_tvp3()}
     assert got == want
+
+
+# first 16 hex digits of the sha256 of presentation_text of each family's
+# reduced presentation at n=2..6, as substituting each larger-first
+# generator's swap-identity word gave them
+REDUCED_DIGESTS = {
+    "bn": "842cf07ae741e2b7 67c93896160a2e28 729920fbb44de2c5 f7e2776fb403a3c5 af01a1aac2cca6e8",
+    "vbn": "41dd204bbe8abca6 78661aa0e2bb9ffa 7ed31765e4b94664 7ef48b8a12c2a1fd 26768e7ef4de4ca1",
+    "vpn": "f4f6e9d3a3bac1f0 cd8391abd3a79103 241bdb8d7447df29 57e5ebaaebfeff11 691ab80d2e113a69",
+    "vhn": "f6327f1ba486beee 6d0775cd0c170788 77d6741616be1bf4 0fa7238c07c57b65 0c7df4082c6b6857",
+    "tvbn": "c2a8a946acf2a7c7 33124f1f14d52561 04bed7979c5a0cb7 6c1f293e6d9b5809 1d8a34d70b4ce088",
+    "tvpn": "052e6b3af1cce784 dc21121f897f858d e1f93ec292e9705f c2afaa16677b2ac5 ba94a9a15fb3b927",
+    "tvhn": "cc7cc79a6d2e57da 898e8a87ba11f3ae 8c7bda5a9e59389b fb2893f45717611c efb20bfef6089937",
+    "tsn": "25b8dfe5cdbe9372 3039494783bed47f dbe0185a0afc8dd1 8448b26ebf749687 51bd36cc919b5b2f",
+    "an": "2459ce48aca714f1 3ed18dc1d4c77756 cecca4752cb4cd05 35de12e171da1dfd a81c9c27e67095d8",
+    "pln": "f8290266170d11a8 284e72d8ee1c1c6e 395c574e29598537 5122798436c35a9b dce235d2d290d25c",
+    "hln": "7ea3971a53e90528 8280d044e66c1875 c2d856de5c46c238 95e299af855f7bea 658a7f41dda38a98",
+}
+
+
+def test_reduced_presentation_digests():
+    assert set(REDUCED_DIGESTS) == set(FAMILIES)
+    for family, digests in REDUCED_DIGESTS.items():
+        for n, want in zip(range(2, 7), digests.split()):
+            text = presentation_text(reduced_presentation(build_presentation(family, n)))
+            got = hashlib.sha256(text.encode()).hexdigest()[:16]
+            assert got == want, (family, n)
 
 
 def test_transcribed_table_shape():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvbraid.conj import expand_atom
+from tvbraid.conj import expand_word
 from tvbraid.homs import _raw_image
 from tvbraid import rs
 from tvbraid.perms import FlipVector, Permutation, enumerate_closure
@@ -138,15 +138,12 @@ def _subgroup_atoms(ctx):
 
 def _expand_to_ambient(ctx, w):
     # pl and hl sit inside the mid-level groups, the others inside the full one
-    atoms = []
-    for a in w.atoms:
-        if a.kind == "g":
-            atoms.append(a)
-        elif ctx.name in ("pl", "hl"):
-            atoms.extend(expand_atom(a, ctx.n).atoms)
-        else:
-            atoms.extend(generator_expression(a, ctx.n, ctx.registry_family).atoms)
-    return Word(ctx.n, atoms)
+    if ctx.name in ("pl", "hl"):
+        return expand_word(w)
+    family = ctx.registry_family
+    return Word(
+        ctx.n, [b for a in w.atoms for b in generator_expression(a, ctx.n, family)]
+    )
 
 
 def test_rewrite_round_trip():

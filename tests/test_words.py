@@ -9,7 +9,6 @@ from tvbraid.present import FAMILIES, _decorated_generators, build_presentation
 from tvbraid.words import (
     _ATOMS,
     _KIND_ORDER,
-    ALPHABETS,
     Atom,
     ParseError,
     Word,
@@ -138,18 +137,9 @@ def test_parse_rejects_garbage():
     ]:
         with pytest.raises(ParseError):
             parse_word(bad, 3)
-    with pytest.raises(ParseError):
-        parse_word("l1,2", 3, alphabet="Ambient")
     with pytest.raises(ParseError, match="index twice"):
         parse_word("l1,11:11", 11)
     assert parse_word("l1,2:21", 3) == parse_word("l1,2:12", 3)
-
-
-def test_alphabet_membership():
-    assert set(ALPHABETS["Ambient"]) == {"s", "r", "g"}
-    assert set(ALPHABETS["PureTwisted"]) == {"l", "g"}
-    assert set(ALPHABETS["HTwisted"]) == {"x", "g"}
-    parse_word("l2,1:1,2 g1", 2, alphabet="PureTwisted")
 
 
 @given(st.one_of(word_strategy(), word_strategy(12)))
@@ -205,9 +195,9 @@ def test_reduce_cascades():
     assert reduce(parse_word("l1,2 g1 g1 l1,2^-1 g3", 3)) == parse_word("g3", 3)
 
 
-def test_word_equality_ignores_alphabet():
+def test_word_equality_is_rank_and_atoms():
     u = parse_word("g1", 3)
-    v = parse_word("g1", 3, alphabet="PureTwisted")
+    v = Word(3, [gamma(1)])
     assert u == v
     assert hash(u) == hash(v)
     assert u != parse_word("g1", 4)
