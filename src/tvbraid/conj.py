@@ -14,7 +14,10 @@ larger-first atoms through the swap identity
 
 which turns l<i>,<j>:<S> with i > j into l<j>,<i>:<{i,j} xor S>.
 
-Both actions live in ``_act``, which every other action here and the
+Since a bar set acts on a pair atom only through its two strands, each
+pair atom keeps, on first use, the four atoms that the four toggles of its
+strands make of it (``_toggles``), and conjugation is one table lookup per
+atom.  Both actions live in ``_act``, which every other action here and the
 Schreier classifier of ``tvbraid.rs`` call; ``act_gamma`` keeps its own
 one-bar body as the reference that the tests check ``_act`` against.
 """
@@ -55,26 +58,38 @@ def act_gamma(k: int, a: Atom) -> Atom:
     return _atom(a.kind, a.i, a.j, deco, a.sign)
 
 
+def _toggles(a: Atom) -> tuple:
+    """a's canonical strands (i, j) and the four canonical atoms it becomes
+    when bars toggle nothing, i, j or both, in that order; kept on a the
+    first time it is asked for.  All four come from the atom table, and an
+    atom whose decoration lies outside its pair raises and keeps nothing."""
+    c = canonicalize_atom(a)
+    i, j, deco = c.i, c.j, set(c.deco)
+    v = tuple(
+        _atom(c.kind, i, j, tuple(sorted(deco.symmetric_difference(t))), c.sign)
+        for t in ((), (i,), (j,), (i, j))
+    )
+    object.__setattr__(a, "_toggles", (i, j, v))
+    return i, j, v
+
+
 def _act(atoms, bars, p: Permutation | None = None) -> tuple:
     """The atoms conjugated by the bar set bars, then renamed by p: each
-    pair atom is folded to canonical form, its strands in bars toggle in its
-    decoration, and its indices are renamed with no second fold, so it may
-    come out larger-first.  A bar atom only moves with p; any other kind
-    raises ValueError."""
+    pair atom becomes the one of its four ``_toggles`` that its strands in
+    bars pick, and only with p are its indices renamed, with no second
+    fold, so it may come out larger-first.  A bar atom only moves with p;
+    any other kind raises ValueError."""
     bars = set(bars)
     out = []
     for a in atoms:
         if a.kind in _PAIRED:
-            a = canonicalize_atom(a)
-            i, j = a.i, a.j
-            if p is not None or i in bars or j in bars:
-                hi = (i in a.deco) != (i in bars)
-                hj = (j in a.deco) != (j in bars)
-                deco = (i, j) if hi and hj else (i,) if hi else (j,) if hj else ()
-                if p is not None:
-                    i, j = p(i), p(j)
-                    deco = tuple(sorted(map(p, deco)))
-                a = _atom(a.kind, i, j, deco, a.sign)
+            try:
+                i, j, v = a._toggles
+            except AttributeError:
+                i, j, v = _toggles(a)
+            a = v[(i in bars) | (j in bars) << 1]
+            if p is not None:
+                a = _atom(a.kind, p(i), p(j), tuple(sorted(map(p, a.deco))), a.sign)
         elif a.kind != "g":
             raise ValueError(f"no bar or strand action on kind {a.kind!r}")
         elif p is not None:

@@ -58,11 +58,14 @@ class Atom(FrozenRecord):
     rank happen at Word construction, not here.  An atom hashes as the tuple
     of its fields and never equals a tuple; that hash and its sort key, which
     names the fields one to one, are computed once, when it is built.  Its
-    text is kept the first time ``format_atom`` builds it.
+    text is kept the first time ``format_atom`` builds it.  A pair atom
+    keeps, the first time ``tvbraid.conj`` conjugates it, its canonical
+    strands (i, j) and the four canonical atoms it becomes when bars toggle
+    nothing, i, j or both.
     """
 
     _fields = ("kind", "i", "j", "deco", "sign")
-    __slots__ = _fields + ("_hash", "_key", "_text")
+    __slots__ = _fields + ("_hash", "_key", "_text", "_toggles")
 
     def __init__(
         self, kind: str, i: int, j: int | None = None, deco: tuple = (), sign: int = 1
@@ -236,14 +239,26 @@ _TOKEN = re.compile(
 )
 
 
-def _parse_deco(text: str) -> tuple[int, ...]:
+def _index(digits: str, tok: str) -> int:
+    """The index the digits name.  Past the interpreter's limit on digits
+    that int() converts, a short error names the digit count and cuts the
+    token short, rather than repeating it whole."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(
+            f"bad token {tok[:20]!r}...: index of {len(digits)} digits"
+        ) from None
+
+
+def _parse_deco(text: str, tok: str) -> tuple[int, ...]:
     if "," in text:
         parts = text.removesuffix(",").split(",")
     else:
         parts = list(text)
     if "" in parts:  # the token pattern lets only ASCII digits and commas in
         raise ParseError(f"bad decoration {text!r}")
-    return tuple(int(p) for p in parts)
+    return tuple(_index(p, tok) for p in parts)
 
 
 def parse_word(text: str, n: int) -> Word:
@@ -256,10 +271,9 @@ def parse_word(text: str, n: int) -> Word:
         kind = m.group("kind")
         sign = -1 if m.group("sign") else 1
         try:
-            # int() refuses more digits than the interpreter's conversion limit
-            i = int(m.group("i"))
-            j = int(m.group("j")) if m.group("j") else None
-            deco = _parse_deco(m.group("deco")) if m.group("deco") else ()
+            i = _index(m.group("i"), tok)
+            j = _index(m.group("j"), tok) if m.group("j") else None
+            deco = _parse_deco(m.group("deco"), tok) if m.group("deco") else ()
             if deco and kind not in _PAIRED:
                 raise ParseError(f"kind {kind!r} cannot carry a decoration: {tok!r}")
             if len(set(deco)) != len(deco):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tvbraid.conj import (
     _act,
     _bar_subsets,
+    _toggles,
     act_gamma,
     canonicalize_atom,
     check_generator_identification,
@@ -113,6 +114,40 @@ def test_action_matches_its_references():
         assert _act((gamma(1), gamma(3)), (1, 2), p) == (gamma(p(1)), gamma(p(3)))
     with pytest.raises(ValueError):
         _act((_atom("s", 1),), ())
+
+
+def test_toggles_are_the_current_tables_atoms(monkeypatch):
+    # an atom built after the table is emptied looks its toggles up in the
+    # new table, not in one that an equal atom filled before
+    for _ in range(2):
+        a = _atom("l", 3, 2, (3,), -1)  # canonical form l2,3:2^-1
+        for ks, deco in (((), (2,)), ((2,), ()), ((3,), (2, 3)), ((2, 3), (3,))):
+            (got,) = _act((a,), ks)
+            assert got is _atom("l", 2, 3, deco, -1), ks
+            p = Permutation((3, 1, 2))
+            (got,) = _act((a,), ks, p)
+            assert got is _atom("l", p(2), p(3), tuple(sorted(map(p, deco))), -1)
+        monkeypatch.setattr("tvbraid.words._ATOMS", {})
+
+
+def test_toggles_of_a_bad_decoration_raise_every_time():
+    for bad in (_atom("l", 1, 2, (3,)), _atom("x", 2, 1, (3,), -1)):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                _act((bad,), (1,))
+        assert not hasattr(bad, "_toggles")
+
+
+def test_larger_first_toggles_fold_then_toggle():
+    n = 4
+    for kind in ("l", "x"):
+        for i, j in combinations(range(1, n + 1), 2):
+            for deco in ((), (i,), (j,), (i, j)):
+                a = _atom(kind, j, i, deco, -1)
+                c = canonicalize_atom(a)
+                assert _toggles(a)[:2] == (c.i, c.j) == (i, j)
+                want = [c, act_gamma(i, c), act_gamma(j, c), act_gamma(j, act_gamma(i, c))]
+                assert all(x is y for x, y in zip(_toggles(a)[2], want, strict=True))
 
 
 def _rename(p, a):
