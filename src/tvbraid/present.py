@@ -14,10 +14,13 @@ Families, keyed by short names:
     pln   bar-free kernel inside tvpn, on decorated l generators
     hln   bar-free kernel inside tvhn, on decorated x generators
 
-Relator schemas expand over all admissible index tuples and deduplicate up
-to the cyclic class key, so symmetric schemas contribute one relator per
-genuine class.  Relators are stored free-reduced only: involution squares
-such as ``g1 g1`` are themselves relators and must survive storage.
+Each relator schema emits one word per cyclic class: a symmetric schema,
+whose mirrored instance is the inverse of a rotation, runs over index
+combinations rather than permutations.  ``_dedup`` keeps the first word of
+each cyclic class, which drops only collisions between the bar orbits of
+pln/hln and repeats left by ``reduced_presentation``.  Relators are stored
+free-reduced only: involution squares such as ``g1 g1`` are themselves
+relators and must survive storage.
 """
 
 from __future__ import annotations
@@ -137,8 +140,8 @@ def _braid_relators(n):
             [sigma(i), sigma(i + 1), sigma(i)],
             [sigma(i + 1), sigma(i), sigma(i + 1)],
         )
-    for i, j in permutations(range(1, n), 2):
-        if abs(i - j) >= 2:
+    for i, j in combinations(range(1, n), 2):
+        if j - i >= 2:
             yield f"sigma-comm({i},{j})", _comm(n, [sigma(i)], [sigma(j)])
 
 
@@ -149,8 +152,8 @@ def _virtual_relators(n):
         yield f"rho-braid({i})", _eq(
             n, [rho(i), rho(i + 1), rho(i)], [rho(i + 1), rho(i), rho(i + 1)]
         )
-    for i, j in permutations(range(1, n), 2):
-        if abs(i - j) >= 2:
+    for i, j in combinations(range(1, n), 2):
+        if j - i >= 2:
             yield f"rho-comm({i},{j})", _comm(n, [rho(i)], [rho(j)])
     for i, j in permutations(range(1, n), 2):
         if abs(i - j) >= 2:
@@ -164,7 +167,7 @@ def _virtual_relators(n):
 def _bar_relators(n):
     for i in range(1, n + 1):
         yield f"gamma-square({i})", _word(n, [gamma(i), gamma(i)])
-    for i, j in permutations(range(1, n + 1), 2):
+    for i, j in combinations(range(1, n + 1), 2):
         yield f"gamma-comm({i},{j})", _comm(n, [gamma(i)], [gamma(j)])
 
 
@@ -191,9 +194,7 @@ def _twisted_ambient_relators(n):
 
 
 def _pair_relators(n, make, label):
-    for (i, j), (k, l) in permutations(
-        [p for p in permutations(range(1, n + 1), 2)], 2
-    ):
+    for (i, j), (k, l) in combinations(permutations(range(1, n + 1), 2), 2):
         if {i, j}.isdisjoint({k, l}):
             yield f"{label}-comm({i},{j};{k},{l})", _comm(
                 n, [make(i, j)], [make(k, l)]
@@ -219,7 +220,7 @@ def _pair_bar_relators(n, make, label):
                 yield f"{label}-gamma-comm({i},{j};{k})", _comm(
                     n, [make(i, j)], [gamma(k)]
                 )
-    for i, j in permutations(range(1, n + 1), 2):
+    for i, j in combinations(range(1, n + 1), 2):
         yield f"{label}-swap({i},{j})", _eq(
             n,
             [make(i, j)],
@@ -236,21 +237,12 @@ def _orbit_relators(n, base_pairs):
     in ascending bitmask order, which makes the registry order
     deterministic.
 
-    A base relator whose folded word lies in the cyclic class of an
-    earlier one is skipped.  Bar conjugation acts atom by atom, so it
-    commutes with rotation and inversion, and a rotation or inverse of a
-    word touches the same strands and so has the same bar sets; each
-    conjugate of the skipped relator therefore lies in the class of a
-    conjugate already yielded, and ``_dedup`` would drop it.  The folded
-    words are free-reduced already, so their keys need no reduction.
+    The base schemas emit one relator per cyclic class, so no base orbit
+    is expanded twice; orbits of distinct bases still meet, and
+    ``_dedup`` keeps the first word of each class.
     """
-    expanded = set()
     for rid, w in base_pairs:
         folded = _word(n, [canonicalize_atom(a) for a in w.atoms])
-        key = canonical_key(folded)
-        if key in expanded:
-            continue
-        expanded.add(key)
         for ks in _bar_subsets(folded):
             deco = "".join(str(k) for k in ks)
             yield f"{rid}|S={deco or '0'}", conjugate_by_bars(ks, folded)
