@@ -36,6 +36,7 @@ from .words import (
     _raw_invert_atoms,
     canonical_key,
     format_atom,
+    format_deco,
     format_word,
     free_reduce,
     gamma,
@@ -235,7 +236,8 @@ def _orbit_relators(n, base_pairs):
     canonical decorated form first, so every output word is bar-free over
     the decorated alphabet.  Bar sets run over the relator's own strands
     in ascending bitmask order, which makes the registry order
-    deterministic.
+    deterministic, and each conjugate's id names its bar set the way a
+    decoration is written, ``S=0`` for the empty set.
 
     The base schemas emit one relator per cyclic class, so no base orbit
     is expanded twice; orbits of distinct bases still meet, and
@@ -244,8 +246,7 @@ def _orbit_relators(n, base_pairs):
     for rid, w in base_pairs:
         folded = _word(n, [canonicalize_atom(a) for a in w.atoms])
         for ks in _bar_subsets(folded):
-            deco = "".join(str(k) for k in ks)
-            yield f"{rid}|S={deco or '0'}", conjugate_by_bars(ks, folded)
+            yield f"{rid}|S={format_deco(ks) or '0'}", conjugate_by_bars(ks, folded)
 
 
 def _decorated_generators(n, kind):

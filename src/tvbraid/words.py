@@ -291,6 +291,15 @@ def parse_word(text: str, n: int) -> Word:
         raise ParseError(str(exc)) from None
 
 
+def format_deco(deco) -> str:
+    """The text of an increasing index tuple as a decoration writes it:
+    bare digits while every index is at most 9, else comma-separated with
+    a trailing comma after a single index; empty for no index."""
+    if not deco or deco[-1] <= 9:
+        return "".join(map(str, deco))
+    return ",".join(map(str, deco)) + "," * (len(deco) == 1)
+
+
 def format_atom(a: Atom) -> str:
     """The atom's text, built once per atom and kept on it."""
     try:
@@ -301,10 +310,7 @@ def format_atom(a: Atom) -> str:
     if a.j is not None:
         out += f",{a.j}"
     if a.deco:
-        if a.deco[-1] <= 9:
-            out += ":" + "".join(str(d) for d in a.deco)
-        else:
-            out += ":" + ",".join(str(d) for d in a.deco) + "," * (len(a.deco) == 1)
+        out += ":" + format_deco(a.deco)
     if a.sign == -1:
         out += "^-1"
     object.__setattr__(a, "_text", out)

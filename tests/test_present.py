@@ -60,6 +60,12 @@ def test_all_families_build():
         pres = build_presentation(family, 4)
         assert pres.family == family
         assert len({r.rid for r in pres.relators}) == len(pres.relators)
+    # past n=9 a bar set's label needs separators: {1,2} and {12} differ
+    for family, label in (("pln", "lambda"), ("hln", "x")):
+        rids = [r.rid for r in build_presentation(family, 12).relators]
+        assert len(set(rids)) == len(rids), family
+        rid = f"{label}-comm(1,2;3,12)"
+        assert {f"{rid}|S=12", f"{rid}|S=12,", f"{rid}|S=1,12"} <= set(rids)
 
 
 def test_relators_distinct_up_to_cyclic_class():
