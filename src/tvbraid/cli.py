@@ -140,7 +140,8 @@ def _cmd_verify(args):
     reports = run_suite(checks=checks, n_range=args.n, seed=args.seed)
     if not reports:
         ns = args.n
-        ranks = f"{ns[0]}..{ns[-1]}" if len(ns) > 2 else ",".join(map(str, ns))
+        # len() overflows on a range longer than sys.maxsize
+        ranks = f"{ns[0]}..{ns[-1]}" if ns[-1] - ns[0] > 1 else ",".join(map(str, ns))
         supported = "; ".join(
             f"{cid} n={','.join(map(str, CHECKS[cid][1]))}" for cid in checks or CHECKS
         )

@@ -44,7 +44,6 @@ from .words import (
     Word,
     canonical_key,
     format_word,
-    free_reduce,
     gamma,
     lam,
     parse_word,
@@ -247,7 +246,7 @@ def _check_pl_to_vp(n: int, seed: int):
     target = build_presentation("vpn", n)
     count_empty = 0
     for d in derive_relators(ctx):
-        img = free_reduce(_raw_image(h, d.word))
+        img = _raw_image(h, d.word)
         if not img.atoms:
             count_empty += 1
             continue

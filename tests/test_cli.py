@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from tvbraid import cli
 from tvbraid.cli import main
+from tvbraid.homs import HOM_TABLE
 from tvbraid.present import FAMILIES
 from tvbraid.rs import KERNEL_TABLE
 from tvbraid.suite import CheckReport
@@ -310,6 +311,10 @@ def test_verify_huge_rank_range_stays_small(capsys):
     assert err.strip() == (
         "error: no check runs at n=5..1000000000000; supported ranks: pl-to-vp n=3,4"
     )
+    # a range longer than sys.maxsize ranks has no len()
+    code, out, err = run_cli(capsys, "verify", "--check", "pl-to-vp", "-n", "5..1" + "0" * 20)
+    assert code == 2
+    assert err.startswith(f"error: no check runs at n=5..1{'0' * 20}; ")
 
 
 def test_rewrite_at_rank_eight():
@@ -396,6 +401,16 @@ def _run_in_process(argv, stdin=""):
     return code, out.getvalue()
 
 
+def _word_input(words, batch):
+    """(argv, stdin, words the command answers): the words as arguments,
+    or as a stdin batch, which skips blank lines."""
+    if batch:
+        return [], "\n".join(words), [w for w in words if w.strip()]
+    # argparse would read a word that starts with "-" as an option
+    words = [w for w in words if not w.lstrip().startswith("-")] or ["g1 g1"]
+    return words, "", words
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.sampled_from([*sorted(KERNEL_TABLE), "tv"]),
@@ -407,16 +422,60 @@ def test_generated_rewrite_input_exits_as_documented(kernel, rank, words, batch)
     """rewrite, with the words as arguments or as a stdin batch, exits with
     a documented code, without a traceback, and on exit 0 prints one line
     per word; a stdin batch skips blank lines."""
-    if batch:
-        argv, stdin = [], "\n".join(words)
-        words = [w for w in words if w.strip()]
-    else:
-        # argparse would read a word that starts with "-" as an option
-        words = [w for w in words if not w.lstrip().startswith("-")] or ["g1 g1"]
-        argv, stdin = words, ""
+    argv, stdin, words = _word_input(words, batch)
     code, out = _run_in_process(["rewrite", "--into", kernel, "-n", rank, *argv], stdin)
     if code == 0:
         assert out.count("\n") == len(words), (kernel, rank, words, out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["image", "kernel"]),
+    st.sampled_from([*sorted(HOM_TABLE), "phi"]),
+    _small_rank,
+    st.lists(_word, min_size=1, max_size=3),
+    st.booleans(),
+)
+def test_generated_image_and_kernel_input_exits_as_documented(
+    command, hom, rank, words, batch
+):
+    """image and kernel through every map, with the words as arguments or
+    as a stdin batch, exit with a documented code, without a traceback,
+    and on exit 0 print one line per word.  plToVp has a symbolic target,
+    so kernel through it exits 3 once a word parses."""
+    argv, stdin, words = _word_input(words, batch)
+    code, out = _run_in_process([command, "--hom", hom, "-n", rank, *argv], stdin)
+    if code == 0:
+        assert out.count("\n") == len(words), (command, hom, rank, words, out)
+    if command == "kernel" and hom == "plToVp" and words and code != 2:
+        assert code == 3, (rank, words)
+
+
+#: checks that take well under a second at every rank they support
+_CHEAP_CHECKS = [
+    "relators-vanish",
+    "transversal-classification",
+    "abelian-invariants",
+    "pl-to-vp",
+    "bar-conjugation",
+]
+_rank_range = st.sampled_from(["2..4", "1..6", "4..2", "0..3", "3..3", "5..1" + "0" * 20])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from([*_CHEAP_CHECKS, "relators"]), min_size=1, max_size=2),
+    st.one_of(_small_rank, _rank_range),
+    st.sampled_from([[], ["--json"], ["--timings"], ["--seed", "5"], ["--seed", "x"]]),
+)
+def test_generated_verify_input_exits_as_documented(checks, rank, flags):
+    """verify with cheap checks exits with a documented code, without a
+    traceback, at every small, junk and range rank, and prints on exit 0
+    and 1."""
+    argv = [arg for check in checks for arg in ("--check", check)]
+    code, out = _run_in_process(["verify", *argv, "-n", rank, *flags])
+    if code in (0, 1):
+        assert out.strip(), (checks, rank, flags)
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,6 +2,7 @@ import hashlib
 from itertools import combinations
 
 import pytest
+from test_conj import _folded_base
 
 from tvbraid import present
 from tvbraid.conj import conjugate_by_bars, expand_word
@@ -110,26 +111,38 @@ def test_orbits_conjugate_only_by_bars_on_own_strands(monkeypatch, family, n, ca
     assert validations == ATOM_VALIDATIONS[family, n]
 
 
+def _distinct_classes(words):
+    keys = [canonical_key(w) for w in words]
+    return len(set(keys)) == len(keys)
+
+
 def test_dedup_is_handed_reduced_words(monkeypatch):
     """Every builder hands ``_dedup`` free-reduced words, and ``_dedup``
-    stores them without reducing them again."""
+    stores them without reducing them again.  Each schema emits one word
+    per cyclic class, so outside the bar orbits of pln/hln the words
+    handed over lie in distinct classes, and the base relators of those
+    orbits do once folded."""
     dedup = present._dedup
-    seen = 0
+    handed = []
 
     def checked(pairs):
-        nonlocal seen
         pairs = list(pairs)
         for rid, w in pairs:
             assert w == free_reduce(w), (rid, format_word(w))
-        seen += len(pairs)
+        handed.append([w for _, w in pairs])
         return dedup(pairs)
 
     monkeypatch.setattr(present, "_dedup", checked)
     for family in FAMILIES:
         for n in range(2, 6):
             pres = build_presentation(family, n)
+            if family not in ("pln", "hln"):
+                assert _distinct_classes(handed[-1]), (family, n)
             reduced_presentation(pres)
-    assert seen > 0
+    assert sum(map(len, handed)) > 0
+    for family in ("pln", "hln"):
+        for n in range(3, 7):
+            assert _distinct_classes(_folded_base(family, n)[1]), (family, n)
 
 
 def test_unknown_family():
