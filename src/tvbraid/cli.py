@@ -10,8 +10,11 @@ reader of stdout goes away (128 + SIGPIPE, as a shell reports a process
 killed by it).
 
 Words come either as positional arguments or, with no positional words,
-one per line on stdin.  Batch input is all-or-nothing: results print
-only after every line has been processed.
+one per line on stdin.  A word subcommand builds and checks its map or
+context before it reads the words, so ``kernel`` through a map with no
+kernel test exits 3 even on an empty batch; any other word subcommand
+given no words prints nothing (``[]`` with ``--json``).  Batch input is
+all-or-nothing: results print only after every line has been processed.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import re
 import sys
 
 from .abelian import abelian_invariants, invariants_text
-from .homs import HOM_TABLE, image, in_kernel, make_hom
+from .homs import HOM_TABLE, _require_kernel_test, image, in_kernel, make_hom
 from .perms import format_element
 from .present import FAMILIES, build_presentation, presentation_dict, presentation_text
 from .rs import KERNEL_TABLE, make_context, rewrite_tau
@@ -49,16 +52,10 @@ def _parse_n(text: str) -> range:
     return range(start, stop + 1)
 
 
-def _parse_n_single(text: str) -> range:
+def _parse_n_single(text: str) -> int:
     if ".." in text:
         raise argparse.ArgumentTypeError("rank ranges are only accepted by verify")
-    return _parse_n(text)
-
-
-def _gather_words(args) -> list[str]:
-    if args.words:
-        return list(args.words)
-    return [line.strip() for line in sys.stdin if line.strip()]
+    return _parse_n(text).start
 
 
 def _print_json(value):
@@ -68,56 +65,45 @@ def _print_json(value):
     print(json.dumps(value))
 
 
-def _emit(results, as_json: bool, text=str):
-    """One line per result, or JSON: a single result bare, any other
-    number of results (none included) as a list."""
-    if as_json:
-        _print_json(results[0] if len(results) == 1 else results)
+def _answer_words(args, answer, text=str):
+    """Read the words (the arguments, else stdin), answer each, and print
+    one line per answer, or JSON: a single answer bare, any other number
+    of answers (none included) as a list."""
+    words = args.words or [line.strip() for line in sys.stdin if line.strip()]
+    answers = [answer(parse_word(word, args.n)) for word in words]
+    if args.json:
+        _print_json(answers[0] if len(answers) == 1 else answers)
     else:
-        for r in results:
-            print(text(r))
+        for a in answers:
+            print(text(a))
+    return 0
 
 
 def _cmd_normalize(args):
-    n = args.n[0]
-    results = [format_word(reduce(parse_word(text, n))) for text in _gather_words(args)]
-    _emit(results, args.json)
-    return 0
+    return _answer_words(args, lambda w: format_word(reduce(w)))
 
 
 def _cmd_image(args):
-    n = args.n[0]
-    h = make_hom(args.hom, n)
-    results = []
-    for text in _gather_words(args):
-        value = image(h, parse_word(text, n))
-        results.append(format_element(value) if h.concrete else format_word(value))
-    _emit(results, args.json)
-    return 0
+    h = make_hom(args.hom, args.n)
+    fmt = format_element if h.concrete else format_word
+    return _answer_words(args, lambda w: fmt(image(h, w)))
 
 
 def _cmd_kernel(args):
-    n = args.n[0]
-    h = make_hom(args.hom, n)
-    verdicts = [in_kernel(h, parse_word(text, n)) for text in _gather_words(args)]
-    _emit(verdicts, args.json, lambda v: "true" if v else "false")
-    return 0
+    h = make_hom(args.hom, args.n)
+    _require_kernel_test(h)
+    return _answer_words(
+        args, lambda w: in_kernel(h, w), lambda v: "true" if v else "false"
+    )
 
 
 def _cmd_rewrite(args):
-    n = args.n[0]
-    ctx = make_context(args.into, n)
-    results = [
-        format_word(rewrite_tau(ctx, parse_word(text, n)).word)
-        for text in _gather_words(args)
-    ]
-    _emit(results, args.json)
-    return 0
+    ctx = make_context(args.into, args.n)
+    return _answer_words(args, lambda w: format_word(rewrite_tau(ctx, w).word))
 
 
 def _cmd_present(args):
-    n = args.n[0]
-    pres = build_presentation(args.group, n)
+    pres = build_presentation(args.group, args.n)
     if args.json:
         _print_json(presentation_dict(pres))
     else:
@@ -126,8 +112,7 @@ def _cmd_present(args):
 
 
 def _cmd_abelianize(args):
-    n = args.n[0]
-    inv = abelian_invariants(build_presentation(args.group, n))
+    inv = abelian_invariants(build_presentation(args.group, args.n))
     if args.json:
         _print_json({"free_rank": inv.free_rank, "torsion": list(inv.torsion)})
     else:

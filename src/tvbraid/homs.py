@@ -213,10 +213,14 @@ def image(h: Homomorphism, w: Word):
     return _raw_image(h, w)
 
 
-def in_kernel(h: Homomorphism, w: Word) -> bool:
+def _require_kernel_test(h: Homomorphism) -> None:
     if not h.concrete:
         raise ValueError(
             f"kernel membership is only decidable for model targets, not {h.target}"
         )
+
+
+def in_kernel(h: Homomorphism, w: Word) -> bool:
+    _require_kernel_test(h)
     _ensure_checked(h)
     return _raw_image(h, w).is_identity()

@@ -28,7 +28,7 @@ from __future__ import annotations
 from itertools import chain, combinations, permutations
 
 from ._record import FrozenRecord
-from .conj import _bar_subsets, _expanded, canonicalize_atom, conjugate_by_bars
+from .conj import _bar_subsets, _expanded, canonicalize_atom, conjugate_by_bars, expand_word
 from .words import (
     Atom,
     Word,
@@ -364,8 +364,7 @@ def reduced_presentation(pres: Presentation) -> Presentation:
         if folded == r.word.atoms:
             out.append((r.rid, r.word))
             continue
-        atoms = tuple(b for a in folded for b in _expanded(a))
-        w = reduce(Word._trusted(pres.n, atoms))
+        w = reduce(expand_word(Word._trusted(pres.n, folded)))
         if w.atoms:
             out.append((r.rid, w))
     return Presentation(f"{pres.family}-reduced", pres.n, gens, _dedup(out))

@@ -136,6 +136,19 @@ def test_domain_error_exit(capsys):
     assert code == 3
 
 
+def test_kernel_refuses_a_symbolic_target_before_reading_stdin(capsys, monkeypatch):
+    class UnreadableStdin:
+        def __iter__(self):
+            raise AssertionError("stdin was read")
+
+    monkeypatch.setattr("sys.stdin", UnreadableStdin())
+    code, out, err = run_cli(capsys, "kernel", "--hom", "plToVp", "-n", "3")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: kernel membership is only decidable for model targets, not vpn\n"
+    )
+
+
 @pytest.mark.parametrize(
     "callee, argv, exc",
     [
@@ -442,12 +455,12 @@ def test_generated_image_and_kernel_input_exits_as_documented(
     """image and kernel through every map, with the words as arguments or
     as a stdin batch, exit with a documented code, without a traceback,
     and on exit 0 print one line per word.  plToVp has a symbolic target,
-    so kernel through it exits 3 once a word parses."""
+    so kernel through it exits 3 on every batch, an empty one included."""
     argv, stdin, words = _word_input(words, batch)
     code, out = _run_in_process([command, "--hom", hom, "-n", rank, *argv], stdin)
     if code == 0:
         assert out.count("\n") == len(words), (command, hom, rank, words, out)
-    if command == "kernel" and hom == "plToVp" and words and code != 2:
+    if command == "kernel" and hom == "plToVp" and code != 2:
         assert code == 3, (rank, words)
 
 
