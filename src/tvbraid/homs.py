@@ -147,12 +147,7 @@ def make_hom(name: str, n: int) -> Homomorphism:
 def _eval_symbolic(h: Homomorphism, w: Word) -> Word:
     atoms: list[Atom] = []
     for a in w.atoms:
-        try:
-            img = h.images[strip_sign(a)]
-        except KeyError:
-            raise ValueError(
-                f"atom {format_atom(a)} is not a generator of {h.source_family}"
-            ) from None
+        img = h.images[strip_sign(a)]
         atoms.extend(img.atoms if a.sign == 1 else invert(img).atoms)
     return free_reduce(Word._trusted(w.n, tuple(atoms)))
 
@@ -160,16 +155,16 @@ def _eval_symbolic(h: Homomorphism, w: Word) -> Word:
 def _raw_image(h: Homomorphism, w: Word):
     if w.n != h.n:
         raise ValueError(f"rank mismatch: word has {w.n}, map has {h.n}")
-    if h.concrete:
-        if h.source_family in ("tvpn", "tvhn"):
-            w = expand_word(w)
-        try:
+    if h.concrete and h.source_family in ("tvpn", "tvhn"):
+        w = expand_word(w)
+    try:
+        if h.concrete:
             return eval_word(w, h.images, h.identity)
-        except KeyError as exc:
-            raise ValueError(
-                f"atom not in the domain of {h.name}: {format_atom(exc.args[0])}"
-            ) from None
-    return _eval_symbolic(h, w)
+        return _eval_symbolic(h, w)
+    except KeyError as exc:
+        raise ValueError(
+            f"atom not in the domain of {h.name}: {format_atom(exc.args[0])}"
+        ) from None
 
 
 def check_well_defined(h: Homomorphism):

@@ -14,13 +14,13 @@ Families, keyed by short names:
     pln   bar-free kernel inside tvpn, on decorated l generators
     hln   bar-free kernel inside tvhn, on decorated x generators
 
-Each relator schema emits one word per cyclic class: a symmetric schema,
-whose mirrored instance is the inverse of a rotation, runs over index
-combinations rather than permutations.  ``_dedup`` keeps the first word of
-each cyclic class, which drops only collisions between the bar orbits of
-pln/hln and repeats left by ``reduced_presentation``.  Relators are stored
-free-reduced only: involution squares such as ``g1 g1`` are themselves
-relators and must survive storage.
+Each relator schema emits one free-reduced word per cyclic class: a
+symmetric schema, whose mirrored instance is the inverse of a rotation,
+runs over index combinations rather than permutations.  Relators are
+stored as the schemas emit them, so involution squares such as ``g1 g1``,
+themselves relators, survive storage.  The bar orbits of pln/hln are the
+one place where two words share a class, and ``_orbit_relators`` skips
+the repeats there.
 """
 
 from __future__ import annotations
@@ -118,20 +118,6 @@ def _eq(n, lhs, rhs) -> Word:
 
 def _comm(n, a, b) -> Word:
     return _eq(n, tuple(a) + tuple(b), tuple(b) + tuple(a))
-
-
-def _dedup(pairs):
-    """One Relator per cyclic class, the first met.  The words come
-    free-reduced from every builder and are stored as they come."""
-    seen = set()
-    out = []
-    for rid, w in pairs:
-        key = canonical_key(w)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(Relator(rid, w))
-    return out
 
 
 def _braid_relators(n):
@@ -240,13 +226,18 @@ def _orbit_relators(n, base_pairs):
     decoration is written, ``S=0`` for the empty set.
 
     The base schemas emit one relator per cyclic class, so no base orbit
-    is expanded twice; orbits of distinct bases still meet, and
-    ``_dedup`` keeps the first word of each class.
+    is expanded twice; orbits of distinct bases still meet, and a
+    conjugate is yielded only if no earlier one lies in its cyclic class.
     """
+    seen = set()
     for rid, w in base_pairs:
         folded = _word(n, [canonicalize_atom(a) for a in w.atoms])
         for ks in _bar_subsets(folded):
-            yield f"{rid}|S={format_deco(ks) or '0'}", conjugate_by_bars(ks, folded)
+            c = conjugate_by_bars(ks, folded)
+            key = canonical_key(c)
+            if key not in seen:
+                seen.add(key)
+                yield f"{rid}|S={format_deco(ks) or '0'}", c
 
 
 def _decorated_generators(n, kind):
@@ -296,7 +287,7 @@ def build_presentation(family: str, n: int) -> Presentation:
         else:
             gens = list(_decorated_generators(n, kind))
             rels = _orbit_relators(n, pure)
-    return Presentation(family, n, gens, _dedup(rels))
+    return Presentation(family, n, gens, (Relator(rid, w) for rid, w in rels))
 
 
 _EXPR_STYLE = {
@@ -362,12 +353,12 @@ def reduced_presentation(pres: Presentation) -> Presentation:
     for r in pres.relators:
         folded = tuple(map(canonicalize_atom, r.word.atoms))
         if folded == r.word.atoms:
-            out.append((r.rid, r.word))
+            out.append(r)
             continue
         w = reduce(expand_word(Word._trusted(pres.n, folded)))
         if w.atoms:
-            out.append((r.rid, w))
-    return Presentation(f"{pres.family}-reduced", pres.n, gens, _dedup(out))
+            out.append(Relator(r.rid, w))
+    return Presentation(f"{pres.family}-reduced", pres.n, gens, out)
 
 
 # ---------------------------------------------------------------------------

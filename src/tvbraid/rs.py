@@ -315,8 +315,6 @@ def _gen_id(ctx: RSContext, c: Atom) -> int:
     """Id of the classified generator c, new ids counting up."""
     g = ctx.gen_ids.get(c)
     if g is None:
-        # the table's atom, even when the classifier hands back a parsed letter
-        c = _atom(c.kind, c.i, c.j, c.deco, c.sign)
         g = ctx.gen_ids[c] = len(ctx.gens)
         ctx.gens.append(c)
     return g

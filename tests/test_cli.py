@@ -134,6 +134,8 @@ def test_domain_error_exit(capsys):
     assert "[2,1,3]" in err
     code, _, err = run_cli(capsys, "kernel", "--hom", "plToVp", "-n", "3", "l1,2")
     assert code == 3
+    code, out, err = run_cli(capsys, "image", "--hom", "plToVp", "-n", "1", "g1")
+    assert (code, out, err) == (3, "", "error: atom not in the domain of plToVp: g1\n")
 
 
 def test_kernel_refuses_a_symbolic_target_before_reading_stdin(capsys, monkeypatch):

@@ -4,7 +4,6 @@ from itertools import combinations
 import pytest
 from test_conj import _folded_base
 
-from tvbraid import present
 from tvbraid.conj import conjugate_by_bars, expand_word
 from tvbraid.homs import _raw_image, make_hom
 from tvbraid.present import (
@@ -31,7 +30,7 @@ from tvbraid.words import (
     xgen,
 )
 
-# (family, n) -> (generator count, relator count after duplicate folding)
+# (family, n) -> (generator count, relator count)
 FROZEN_SIZES = {
     ("bn", 3): (2, 1),
     ("vbn", 3): (4, 5),
@@ -116,30 +115,23 @@ def _distinct_classes(words):
     return len(set(keys)) == len(keys)
 
 
-def test_dedup_is_handed_reduced_words(monkeypatch):
-    """Every builder hands ``_dedup`` free-reduced words, and ``_dedup``
-    stores them without reducing them again.  Each schema emits one word
-    per cyclic class, so outside the bar orbits of pln/hln the words
-    handed over lie in distinct classes, and the base relators of those
-    orbits do once folded."""
-    dedup = present._dedup
-    handed = []
-
-    def checked(pairs):
-        pairs = list(pairs)
-        for rid, w in pairs:
-            assert w == free_reduce(w), (rid, format_word(w))
-        handed.append([w for _, w in pairs])
-        return dedup(pairs)
-
-    monkeypatch.setattr(present, "_dedup", checked)
+def test_relators_reduced_and_one_per_class():
+    """Every family stores free-reduced relators in pairwise distinct
+    cyclic classes, and so does its reduced presentation: the schemas
+    emit one word per class, and only the bar orbits of pln/hln skip
+    repeats, while the base relators of those orbits lie in distinct
+    classes once folded.  Two relators in one class touch the same
+    strands, at most four, and the schemas tell strands apart only by
+    their order and which of them are adjacent, so ranks up to 8 show
+    every pattern of strands a repeat can use."""
     for family in FAMILIES:
-        for n in range(2, 6):
+        for n in range(2, 9):
             pres = build_presentation(family, n)
-            if family not in ("pln", "hln"):
-                assert _distinct_classes(handed[-1]), (family, n)
-            reduced_presentation(pres)
-    assert sum(map(len, handed)) > 0
+            for r in pres.relators:
+                assert r.word == free_reduce(r.word), (family, n, r.rid)
+            assert _distinct_classes(r.word for r in pres.relators), (family, n)
+            reduced = reduced_presentation(pres).relators
+            assert _distinct_classes(r.word for r in reduced), (family, n)
     for family in ("pln", "hln"):
         for n in range(3, 7):
             assert _distinct_classes(_folded_base(family, n)[1]), (family, n)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvbraid.conj import expand_word
-from tvbraid.homs import _raw_image
+from tvbraid.homs import _raw_image, make_hom
 from tvbraid import rs
 from tvbraid.perms import FlipVector, Permutation, enumerate_closure
 from tvbraid.present import build_presentation, generator_expression
@@ -387,6 +387,11 @@ def test_rewrite_result_contract():
         rebuilt = RewriteResult(res.word, res.raw)
         assert rebuilt == res and repr(rebuilt) == repr(res)
         assert repr(res) == f"RewriteResult(word={res.word!r}, raw={res.raw!r})"
+    for name in KERNEL_WORDS_4:
+        ctx = make_context(name, 3)
+        derive_relators(ctx)
+        for a in ctx.gens:
+            assert a is _atom(a.kind, a.i, a.j, a.deco, a.sign), (name, a)
 
 
 @pytest.mark.parametrize(
@@ -609,6 +614,9 @@ def test_out_of_domain_atom():
         rewrite_tau(ctx, u)
     with pytest.raises(ValueError, match="rank mismatch"):
         rewrite_tau(ctx, parse_word("s1 s1^-1", 2))
+    # a symbolic target's domain error names the map, as a model target's does
+    with pytest.raises(ValueError, match=r"^atom not in the domain of plToVp: g1$"):
+        _raw_image(make_hom("plToVp", 1), parse_word("g1", 1))
 
 
 def test_failed_rewrite_keeps_context_usable():
