@@ -4,7 +4,8 @@ Subpackages build on each other in order: words (atom/word algebra),
 perms (concrete finite quotients), conj (bar-conjugation of decorated
 generators), present (presentation registry), homs (named quotient maps),
 rs (coset-transversal rewriting of kernel words), abelian (integer Smith
-form and abelian invariants), suite (verification checks), cli.
+form and abelian invariants), suite (verification checks, loaded on first
+use of ``run_suite``), cli.
 """
 
 from .words import Atom, Word, parse_word, format_word, reduce, free_reduce
@@ -12,7 +13,6 @@ from .present import build_presentation
 from .homs import make_hom, image, in_kernel
 from .rs import make_context, rewrite_tau, split
 from .abelian import abelian_invariants, invariants_text
-from .suite import run_suite
 
 __version__ = "0.1.0"
 
@@ -34,3 +34,12 @@ __all__ = [
     "invariants_text",
     "run_suite",
 ]
+
+
+def __getattr__(name):
+    # no library call uses the suite, so importing the package skips it
+    if name == "run_suite":
+        from .suite import run_suite
+
+        return run_suite
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

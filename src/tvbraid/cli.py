@@ -36,17 +36,21 @@ from .words import ParseError, format_word, parse_word, reduce
 _DIGITS = re.compile("[0-9]+")
 
 
+def _ascii_int(digits: str, error: Exception) -> int:
+    if not _DIGITS.fullmatch(digits):
+        raise error
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise error from None
+
+
 def _parse_n(text: str) -> range:
     """Accept a single rank like "3" or an inclusive range like "2..4"."""
     lo, dots, hi = text.partition("..")
     hi = hi if dots else lo
     error = argparse.ArgumentTypeError(f"bad rank{' range' if dots else ''} {text!r}")
-    if not (_DIGITS.fullmatch(lo) and _DIGITS.fullmatch(hi)):
-        raise error
-    try:
-        start, stop = int(lo), int(hi)
-    except ValueError:  # more digits than int() converts
-        raise error from None
+    start, stop = _ascii_int(lo, error), _ascii_int(hi, error)
     if start > stop or start < 1:
         raise error
     return range(start, stop + 1)
@@ -56,6 +60,13 @@ def _parse_n_single(text: str) -> int:
     if ".." in text:
         raise argparse.ArgumentTypeError("rank ranges are only accepted by verify")
     return _parse_n(text).start
+
+
+def _parse_seed(text: str) -> int:
+    """Accept an optional "-" followed by ASCII digits."""
+    digits = text.removeprefix("-")
+    value = _ascii_int(digits, argparse.ArgumentTypeError(f"bad seed {text!r}"))
+    return value if digits == text else -value
 
 
 def _print_json(value):
@@ -212,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--check", action="append", choices=sorted(CHECKS), help="run one named check"
     )
     add_rank(p, allow_range=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED)
     p.add_argument("--json", action="store_true")
     p.add_argument("--timings", action="store_true", help="append wall times")
     p.set_defaults(fn=_cmd_verify)

@@ -229,6 +229,25 @@ def test_rank_errors_keep_their_message(capsys, argv, message):
     assert err.count("error:") == 1
 
 
+@pytest.mark.parametrize(
+    "seed",
+    ["\u0665", " 1_0 ", "1_0", "+5", "--5", "", pytest.param("9" * 5000, id="5000-digits")],
+)
+def test_seed_errors_exit_2(capsys, seed):
+    """--seed takes an optional "-" and ASCII digits, as -n takes digits."""
+    code, out, err = run_cli(
+        capsys, "verify", "--check", "split-random", "-n", "3", f"--seed={seed}"
+    )
+    assert code == 2 and out == ""
+    assert err.endswith(f"error: argument --seed: bad seed {seed!r}\n")
+
+
+def test_negative_seed_is_a_seed(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--check", "split-random", "-n", "3", "--seed", "-7")
+    assert code == 0
+    assert out.splitlines()[-1] == "1/1 checks passed"
+
+
 def test_verify_single_check(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--check", "abelian-invariants", "-n", "2"
@@ -293,6 +312,34 @@ def test_cold_start_import_footprint(flags, loaded):
     result, watched = proc.stdout.splitlines()
     assert result == ('"s1"' if flags else "s1")
     assert watched == loaded
+
+
+_LIBRARY_FOOTPRINT = """
+import sys
+import tvbraid
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "tvbraid")))
+assert tvbraid.run_suite is sys.modules["tvbraid.suite"].run_suite
+names = {}
+exec("from tvbraid import *", names)
+assert set(tvbraid.__all__) <= names.keys()
+try:
+    tvbraid.no_such_name
+except AttributeError:
+    print("AttributeError")
+"""
+
+
+def test_library_import_footprint():
+    """import tvbraid loads the seven layers and the record base, not the
+    suite; run_suite, import * and a missing name behave as before."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIBRARY_FOOTPRINT], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, missing = proc.stdout.splitlines()
+    layers = ("_record", "abelian", "conj", "homs", "perms", "present", "rs", "words")
+    assert loaded == " ".join(["tvbraid", *(f"tvbraid.{m}" for m in layers)])
+    assert missing == "AttributeError"
 
 
 def test_rank_range_only_for_verify(capsys):
@@ -481,7 +528,17 @@ _rank_range = st.sampled_from(["2..4", "1..6", "4..2", "0..3", "3..3", "5..1" + 
 @given(
     st.lists(st.sampled_from([*_CHEAP_CHECKS, "relators"]), min_size=1, max_size=2),
     st.one_of(_small_rank, _rank_range),
-    st.sampled_from([[], ["--json"], ["--timings"], ["--seed", "5"], ["--seed", "x"]]),
+    st.sampled_from(
+        [
+            [],
+            ["--json"],
+            ["--timings"],
+            ["--seed", "5"],
+            ["--seed", "x"],
+            ["--seed", "\u0665"],
+            ["--seed", " 1_0 "],
+        ]
+    ),
 )
 def test_generated_verify_input_exits_as_documented(checks, rank, flags):
     """verify with cheap checks exits with a documented code, without a
