@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -170,7 +171,9 @@ def test_exhaustion_exits_4_with_one_line(capsys, monkeypatch, callee, argv, exc
     def exhausted(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(cli, callee, exhausted)
+    # the cli calls each through the module of the layer that defines it
+    home = {"make_hom": "homs", "build_presentation": "present", "rewrite_tau": "rs"}[callee]
+    monkeypatch.setattr(f"tvbraid.{home}.{callee}", exhausted)
     code, out, err = run_cli(capsys, *argv)
     assert code == 4
     assert out == ""
@@ -220,6 +223,15 @@ def test_usage_error_exit(capsys):
         (("normalize", "-n", "\u0663", "s1"), "bad rank '\u0663'"),
         (("normalize", "-n", "+3", "s1"), "bad rank '+3'"),
         (("normalize", "-n", " 3", "s1"), "bad rank ' 3'"),
+        # up to 20 characters an argument shows whole, past them cut short
+        pytest.param(
+            ("normalize", "-n", "0" * 20, "s1"), f"bad rank {'0' * 20!r}", id="20-digits"
+        ),
+        pytest.param(
+            ("normalize", "-n", "9" * 5000, "s1"),
+            f"bad rank {'9' * 20!r}... of 5000 characters",
+            id="5000-digits",
+        ),
     ],
 )
 def test_rank_errors_keep_their_message(capsys, argv, message):
@@ -231,15 +243,27 @@ def test_rank_errors_keep_their_message(capsys, argv, message):
 
 @pytest.mark.parametrize(
     "seed",
-    ["\u0665", " 1_0 ", "1_0", "+5", "--5", "", pytest.param("9" * 5000, id="5000-digits")],
+    [
+        "\u0665",
+        " 1_0 ",
+        "1_0",
+        "+5",
+        "--5",
+        "",
+        pytest.param("+" + "9" * 19, id="20-characters"),
+        pytest.param("9" * 20 + "x", id="21-characters"),
+        pytest.param("9" * 5000, id="5000-digits"),
+    ],
 )
 def test_seed_errors_exit_2(capsys, seed):
-    """--seed takes an optional "-" and ASCII digits, as -n takes digits."""
+    """--seed takes an optional "-" and ASCII digits, as -n takes digits.
+    The error shows the seed whole, or cut short when it is over-long."""
     code, out, err = run_cli(
         capsys, "verify", "--check", "split-random", "-n", "3", f"--seed={seed}"
     )
     assert code == 2 and out == ""
-    assert err.endswith(f"error: argument --seed: bad seed {seed!r}\n")
+    shown = repr(seed) if len(seed) <= 20 else f"{seed[:20]!r}... of {len(seed)} characters"
+    assert err.endswith(f"error: argument --seed: bad seed {shown}\n")
 
 
 def test_negative_seed_is_a_seed(capsys):
@@ -271,7 +295,7 @@ def test_verify_reports_failure(capsys, monkeypatch):
     def fake_run_suite(checks=None, n_range=None, seed=0):
         return [CheckReport("relators-vanish", 2, "fail", "forced", 0.0)]
 
-    monkeypatch.setattr("tvbraid.cli.run_suite", fake_run_suite)
+    monkeypatch.setattr("tvbraid.suite.run_suite", fake_run_suite)
     code, out, _ = run_cli(capsys, "verify", "--all", "-n", "2")
     assert code == 1
     assert "FAIL" in out
@@ -287,37 +311,92 @@ def test_console_entry_point():
     assert proc.stdout.strip() == ""
 
 
+#: prints to stderr the watched standard modules that the call loaded, and
+#: the tvbraid modules that it executed (an executed module's namespace holds
+#: __builtins__); reading __dict__ through object leaves a lazy layer unloaded
 _FOOTPRINT = """
 import sys
 from tvbraid.cli import main
-main(sys.argv[1:])
+code = main(sys.argv[1:])
 watched = ("dataclasses", "inspect", "json")
-print(" ".join(m for m in watched if m in sys.modules))
+print(" ".join(m for m in watched if m in sys.modules), file=sys.stderr)
+ran = [
+    name for name, m in sys.modules.items()
+    if name.startswith("tvbraid.") and "__builtins__" in object.__getattribute__(m, "__dict__")
+]
+print(" ".join(sorted(name.removeprefix("tvbraid.") for name in ran)), file=sys.stderr)
+sys.exit(code)
 """
+
+_PRESENT_LAYERS = "_record cli conj perms present words"
 
 
 @pytest.mark.parametrize(
-    "flags, loaded", [((), ""), (("--json",), "json")], ids=["text", "json"]
+    "argv, line, loaded, layers",
+    [
+        pytest.param(("normalize", "-n", "3", "s1"), "s1", "", "_record cli words", id="text"),
+        pytest.param(
+            ("normalize", "-n", "3", "--json", "s1"), '"s1"', "json", "_record cli words", id="json"
+        ),
+        pytest.param(
+            ("image", "--hom", "phiP", "-n", "3", "s1"),
+            "[2,1,3]",
+            "",
+            "_record cli conj homs perms present words",
+            id="image",
+        ),
+        pytest.param(
+            ("kernel", "--hom", "phiH", "-n", "3", "s2"),
+            "true",
+            "",
+            "_record cli conj homs perms present words",
+            id="kernel",
+        ),
+        pytest.param(
+            ("rewrite", "--into", "pl", "-n", "3", "g1 l1,2 g1"),
+            "l1,2:1",
+            "",
+            "_record cli conj homs perms present rs words",
+            id="rewrite",
+        ),
+        pytest.param(
+            ("present", "--group", "pln", "-n", "3"), "pln n=3", "", _PRESENT_LAYERS, id="present"
+        ),
+        pytest.param(
+            ("abelianize", "--group", "tvhn", "-n", "4"),
+            "Z^1 + Z_2^4",
+            "",
+            "_record abelian cli conj perms present words",
+            id="abelianize",
+        ),
+        pytest.param(
+            ("verify", "--check", "pl-to-vp", "-n", "3"),
+            "1/1 checks passed",
+            "",
+            "_record abelian cli conj homs perms present rs suite words",
+            id="verify",
+        ),
+    ],
 )
-def test_cold_start_import_footprint(flags, loaded):
+def test_cold_start_import_footprint(argv, line, loaded, layers):
     """A CLI start loads neither dataclasses nor inspect, and json only for
-    --json output."""
+    --json output; each subcommand executes only the layers it runs."""
     proc = subprocess.run(
-        [sys.executable, "-c", _FOOTPRINT, "normalize", "-n", "3", *flags, "s1"],
-        capture_output=True,
-        text=True,
-        timeout=60,
+        [sys.executable, "-c", _FOOTPRINT, *argv], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    result, watched = proc.stdout.splitlines()
-    assert result == ('"s1"' if flags else "s1")
-    assert watched == loaded
+    assert line in proc.stdout.splitlines()
+    assert proc.stderr.splitlines() == [loaded, layers]
 
 
 _LIBRARY_FOOTPRINT = """
 import sys
 import tvbraid
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "tvbraid")))
+print(" ".join(
+    name for name, m in sys.modules.items()
+    if name.startswith("tvbraid.") and "__builtins__" in object.__getattribute__(m, "__dict__")
+))
 assert tvbraid.run_suite is sys.modules["tvbraid.suite"].run_suite
 names = {}
 exec("from tvbraid import *", names)
@@ -330,16 +409,52 @@ except AttributeError:
 
 
 def test_library_import_footprint():
-    """import tvbraid loads the seven layers and the record base, not the
-    suite; run_suite, import * and a missing name behave as before."""
+    """import tvbraid registers the seven layers and the record base, and
+    executes none of them, nor registers the suite; run_suite, import *
+    and a missing name behave as before."""
     proc = subprocess.run(
         [sys.executable, "-c", _LIBRARY_FOOTPRINT], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    loaded, missing = proc.stdout.splitlines()
+    registered, executed, missing = proc.stdout.splitlines()
     layers = ("_record", "abelian", "conj", "homs", "perms", "present", "rs", "words")
-    assert loaded == " ".join(["tvbraid", *(f"tvbraid.{m}" for m in layers)])
+    assert registered == " ".join(["tvbraid", *(f"tvbraid.{m}" for m in layers)])
+    assert executed == ""
     assert missing == "AttributeError"
+
+
+def _golden_calls(name):
+    """(argv, text) per call in a frozen CLI file under tests/golden/: a
+    "$ tvbraid ..." line, then what the call printed, frozen at COLUMNS=80."""
+    calls = []
+    for line in (Path(__file__).parent / "golden" / name).read_text().splitlines(True):
+        if line.startswith("$ tvbraid"):
+            calls.append((line.split()[2:], ""))
+        else:
+            calls[-1] = (calls[-1][0], calls[-1][1] + line)
+    return [pytest.param(argv, text, id=" ".join(argv)) for argv, text in calls]
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13), reason="argparse rewraps usage from 3.13 on")
+@pytest.mark.parametrize("argv, text", _golden_calls("cli_help.txt"))
+def test_help_text_is_frozen(capsys, monkeypatch, argv, text):
+    """The --help of tvbraid and of each subcommand, as frozen."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(capsys, *argv) == (0, text, "")
+
+
+@pytest.mark.parametrize("argv, text", _golden_calls("cli_usage_errors.txt"))
+def test_usage_errors_are_frozen(capsys, monkeypatch, argv, text):
+    """A subcommand with no arguments prints its usage and names what is
+    missing, as frozen.  From 3.13 on argparse wraps the usage lines at
+    other places, so there the words are compared and not the wrapping."""
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    if sys.version_info < (3, 13):
+        assert err == text
+    else:
+        assert err.split() == text.split()
 
 
 def test_rank_range_only_for_verify(capsys):
