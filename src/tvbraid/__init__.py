@@ -11,10 +11,10 @@ form and abelian invariants), suite (verification checks), cli.
 first use, as do the layers it imports.  The suite is not registered; it
 loads on first use of ``run_suite``.  So a CLI call runs only the layers
 of its subcommand: ``normalize`` runs ``_record`` and ``words``,
-``present`` adds ``perms``, ``conj`` and ``present``, ``abelianize``
-adds ``abelian`` to those, ``image`` and ``kernel`` add ``homs``,
-``rewrite`` adds ``homs`` and ``rs``, and ``verify`` runs every layer
-and the suite.
+``present`` adds ``conj`` and ``present``, ``abelianize`` adds
+``abelian`` to those, ``image`` and ``kernel`` add ``perms`` and
+``homs``, ``rewrite`` adds ``perms``, ``homs`` and ``rs``, and
+``verify`` runs every layer and the suite.
 """
 
 import importlib.util

@@ -24,7 +24,6 @@ one-bar body as the reference that the tests check ``_act`` against.
 
 from __future__ import annotations
 
-from .perms import Permutation
 from .words import _PAIRED, Atom, Word, _atom, canonical_key, gamma
 
 
@@ -73,12 +72,12 @@ def _toggles(a: Atom) -> tuple:
     return i, j, v
 
 
-def _act(atoms, bars, p: Permutation | None = None) -> tuple:
-    """The atoms conjugated by the bar set bars, then renamed by p: each
-    pair atom becomes the one of its four ``_toggles`` that its strands in
-    bars pick, and only with p are its indices renamed, with no second
-    fold, so it may come out larger-first.  A bar atom only moves with p;
-    any other kind raises ValueError."""
+def _act(atoms, bars, p=None) -> tuple:
+    """The atoms conjugated by the bar set bars, then renamed by the strand
+    permutation p: each pair atom becomes the one of its four ``_toggles``
+    that its strands in bars pick, and only with p are its indices
+    renamed, with no second fold, so it may come out larger-first.  A bar
+    atom only moves with p; any other kind raises ValueError."""
     bars = set(bars)
     out = []
     for a in atoms:

@@ -350,8 +350,10 @@ def run_suite(checks=None, n_range=None, seed: int = DEFAULT_SEED) -> list[Check
             t0 = time.perf_counter()
             try:
                 ok, details = fn(n, seed)
+            except (MemoryError, RecursionError):
+                raise  # out of resources is not a failed check
             except Exception as exc:  # a crashing check is a failing check
-                ok, details = False, f"exception: {exc}"
+                ok, details = False, f"exception: {type(exc).__name__}: {exc}"
             out.append(
                 CheckReport(
                     cid,

@@ -18,6 +18,8 @@ from tvbraid.present import FAMILIES
 from tvbraid.rs import KERNEL_TABLE
 from tvbraid.suite import CheckReport
 
+from cli_pins import got_and_want, max_rank, rows
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -25,24 +27,15 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
-FROZEN = [
-    (("normalize", "-n", "3", "g2 g2 s1"), "s1"),
-    (("image", "--hom", "phiP", "-n", "3", "s1"), "[2,1,3]"),
-    (("image", "--hom", "psiP", "-n", "3", "l1,3 g2"), "[0,1,0]"),
-    (("kernel", "--hom", "phiH", "-n", "3", "s2"), "true"),
-    (("kernel", "--hom", "phiPT", "-n", "2", "g1"), "false"),
-    (("rewrite", "--into", "tvp", "-n", "3", "s1 g3 s1^-1 g3"), "l1,2^-1 g3 l1,2 g3"),
-    (("rewrite", "--into", "tvp", "-n", "2", "g1 g1"), "g1 g1"),
-    (("rewrite", "--into", "pl", "-n", "3", "g1 l1,2 g1"), "l1,2:1"),
-    (("abelianize", "--group", "tvhn", "-n", "4"), "Z^1 + Z_2^4"),
-]
-
-
-def test_frozen_examples(capsys):
-    for argv, expected in FROZEN:
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == 0, argv
-        assert out.strip() == expected, argv
+@pytest.mark.parametrize(
+    "row", [pytest.param(row, id=" ".join(row["args"])) for row in rows() if max_rank(row) <= 8]
+)
+def test_pinned_call(row):
+    """A frozen call of tests/golden/cli_pins.json gives the exit code and
+    stdout of its row.  The rows of rank above 8 run only in CI, where
+    tests/cli_pins.py runs every row through the installed script."""
+    got, want = got_and_want(row, *_run_in_process(row["args"], row["stdin"]))
+    assert got == want
 
 
 def test_present_output(capsys):
@@ -162,6 +155,7 @@ def test_kernel_refuses_a_symbolic_target_before_reading_stdin(capsys, monkeypat
             ("rewrite", "--into", "pt", "-n", "4", "s1 r1"),
             RecursionError("maximum recursion depth exceeded"),
         ),
+        ("split", ("verify", "--check", "split-random", "-n", "3"), MemoryError()),
     ],
 )
 def test_exhaustion_exits_4_with_one_line(capsys, monkeypatch, callee, argv, exc):
@@ -171,8 +165,14 @@ def test_exhaustion_exits_4_with_one_line(capsys, monkeypatch, callee, argv, exc
     def exhausted(*args, **kwargs):
         raise exc
 
-    # the cli calls each through the module of the layer that defines it
-    home = {"make_hom": "homs", "build_presentation": "present", "rewrite_tau": "rs"}[callee]
+    # the cli calls each through the module of the layer that defines it,
+    # and a suite check calls split by the name that the suite imports
+    home = {
+        "make_hom": "homs",
+        "build_presentation": "present",
+        "rewrite_tau": "rs",
+        "split": "suite",
+    }[callee]
     monkeypatch.setattr(f"tvbraid.{home}.{callee}", exhausted)
     code, out, err = run_cli(capsys, *argv)
     assert code == 4
@@ -301,6 +301,22 @@ def test_verify_reports_failure(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_crashing_check_fails_with_its_exception_named(capsys, monkeypatch):
+    """A check that raises anything but MemoryError or RecursionError is a
+    failed check, exit 1, and its report names the exception's type."""
+
+    def crash(*args, **kwargs):
+        raise ValueError("no such coset")
+
+    monkeypatch.setattr("tvbraid.suite.split", crash)
+    code, out, _ = run_cli(capsys, "verify", "--check", "split-random", "-n", "3")
+    assert code == 1
+    assert out.splitlines() == [
+        "split-random  n=3  FAIL  exception: ValueError: no such coset",
+        "0/1 checks passed",
+    ]
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "tvbraid.cli", "normalize", "-n", "2", "g1 g1"],
@@ -328,7 +344,7 @@ print(" ".join(sorted(name.removeprefix("tvbraid.") for name in ran)), file=sys.
 sys.exit(code)
 """
 
-_PRESENT_LAYERS = "_record cli conj perms present words"
+_PRESENT_LAYERS = "_record cli conj present words"
 
 
 @pytest.mark.parametrize(
@@ -366,7 +382,7 @@ _PRESENT_LAYERS = "_record cli conj perms present words"
             ("abelianize", "--group", "tvhn", "-n", "4"),
             "Z^1 + Z_2^4",
             "",
-            "_record abelian cli conj perms present words",
+            "_record abelian cli conj present words",
             id="abelianize",
         ),
         pytest.param(
@@ -492,18 +508,6 @@ def test_verify_huge_rank_range_stays_small(capsys):
     code, out, err = run_cli(capsys, "verify", "--check", "pl-to-vp", "-n", "5..1" + "0" * 20)
     assert code == 2
     assert err.startswith(f"error: no check runs at n=5..1{'0' * 20}; ")
-
-
-def test_rewrite_at_rank_eight():
-    proc = subprocess.run(
-        [sys.executable, "-m", "tvbraid.cli", "rewrite", "--into", "pt", "-n", "8",
-         "s1 r1 g3 s2^-1 r2 g3"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "l1,2^-1 l2,3:2\n"
 
 
 #: the ASCII grammar of a rank and of a word token, written out here
