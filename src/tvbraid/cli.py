@@ -15,24 +15,29 @@ context before it reads the words, so ``kernel`` through a map with no
 kernel test exits 3 even on an empty batch; any other word subcommand
 given no words prints nothing (``[]`` with ``--json``).  Batch input is
 all-or-nothing: results print only after every line has been processed.
+
+Each subcommand's options are one table, ``_COMMANDS``, with two readers.
+A well-formed call (the subcommand, its options each once in the form
+``--flag value``, then the words) is read from the table by ``_scan``,
+without importing argparse.  Every other call goes to the argparse parser
+that ``build_parser`` builds from the same table, exactly as before:
+``--help``, usage errors, and the other spellings argparse accepts, such
+as abbreviations, ``--opt=value``, ``-n3`` or options after the words.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
-import re
 import sys
+import types
 
 from . import abelian, homs, perms, present, rs
 from .words import ParseError, format_word, parse_word, reduce
 
-#: a rank is ASCII digits only: no sign, space, underscore or other script
-_DIGITS = re.compile("[0-9]+")
-
 
 def _ascii_int(digits: str, error: Exception) -> int:
-    if not _DIGITS.fullmatch(digits):
+    # ASCII digits only: no sign, space, underscore or other script
+    if not (digits.isascii() and digits.isdigit()):
         raise error
     try:
         return int(digits)
@@ -50,7 +55,7 @@ def _parse_n(text: str) -> range:
     """Accept a single rank like "3" or an inclusive range like "2..4"."""
     lo, dots, hi = text.partition("..")
     hi = hi if dots else lo
-    error = argparse.ArgumentTypeError(f"bad rank{' range' if dots else ''} {_shown(text)}")
+    error = ValueError(f"bad rank{' range' if dots else ''} {_shown(text)}")
     start, stop = _ascii_int(lo, error), _ascii_int(hi, error)
     if start > stop or start < 1:
         raise error
@@ -59,14 +64,14 @@ def _parse_n(text: str) -> range:
 
 def _parse_n_single(text: str) -> int:
     if ".." in text:
-        raise argparse.ArgumentTypeError("rank ranges are only accepted by verify")
+        raise ValueError("rank ranges are only accepted by verify")
     return _parse_n(text).start
 
 
 def _parse_seed(text: str) -> int:
     """Accept an optional "-" followed by ASCII digits."""
     digits = text.removeprefix("-")
-    value = _ascii_int(digits, argparse.ArgumentTypeError(f"bad seed {_shown(text)}"))
+    value = _ascii_int(digits, ValueError(f"bad seed {_shown(text)}"))
     return value if digits == text else -value
 
 
@@ -143,7 +148,8 @@ def _cmd_verify(args):
         ranks = f"{ns[0]}..{ns[-1]}" if ns[-1] - ns[0] > 1 else ",".join(map(str, ns))
         supported = "; ".join(
             f"{cid} n={','.join(map(str, suite.CHECKS[cid][1]))}"
-            for cid in checks or suite.CHECKS
+            for cid in suite.CHECKS
+            if checks is None or cid in checks
         )
         print(
             f"error: no check runs at n={ranks}; "
@@ -163,106 +169,199 @@ def _cmd_verify(args):
     return 0 if all(r.status == "pass" for r in reports) else 1
 
 
-def _add_rank(p, allow_range=False):
-    help_text = "number of strands"
-    if allow_range:
-        help_text += ", or an inclusive range like 2..4"
-    p.add_argument(
-        "-n",
-        required=True,
-        type=_parse_n if allow_range else _parse_n_single,
-        help=help_text,
-    )
-
-
-def _word_arguments(p):
-    _add_rank(p)
-    p.add_argument("words", nargs="*", help="words; read from stdin when absent")
-    p.add_argument("--json", action="store_true", help="print results as JSON")
-
-
-def _hom_arguments(p):
-    p.add_argument("--hom", required=True, choices=sorted(homs.HOM_TABLE))
-    _word_arguments(p)
-
-
-def _rewrite_arguments(p):
-    p.add_argument("--into", required=True, choices=sorted(rs.KERNEL_TABLE))
-    _word_arguments(p)
-
-
-def _group_arguments(p):
-    p.add_argument("--group", required=True, choices=sorted(present.FAMILIES))
-    _add_rank(p)
-    p.add_argument("--json", action="store_true")
-
-
-def _verify_arguments(p):
+def _check_ids():
     from . import suite
 
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--all", action="store_true", help="run every check")
-    group.add_argument(
-        "--check", action="append", choices=sorted(suite.CHECKS), help="run one named check"
-    )
-    _add_rank(p, allow_range=True)
-    p.add_argument("--seed", type=_parse_seed, default=suite.DEFAULT_SEED)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--timings", action="store_true", help="append wall times")
+    return sorted(suite.CHECKS)
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """A subcommand's parser.  It adds its arguments when argparse first
-    dispatches to it, so that building the parser reads no layer's table
-    and a command loads only the layers it runs."""
+def _default_seed():
+    from . import suite
 
-    def __init__(self, *args, arguments, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._arguments = arguments
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._arguments is not None:
-            self._arguments(self)
-            self._arguments = None
-        return super().parse_known_args(args, namespace)
+    return suite.DEFAULT_SEED
 
 
-#: subcommand -> (help, arguments, function), in the order --help lists them
+_RANK = ("-n", {"required": True, "type": _parse_n_single, "help": "number of strands"})
+_JSON = ("--json", {"action": "store_true"})
+_WORDS = (
+    _RANK,
+    ("words", {"nargs": "*", "help": "words; read from stdin when absent"}),
+    ("--json", {"action": "store_true", "help": "print results as JSON"}),
+)
+_HOM = (("--hom", {"required": True, "choices": lambda: sorted(homs.HOM_TABLE)}), *_WORDS)
+_GROUP = (
+    ("--group", {"required": True, "choices": lambda: sorted(present.FAMILIES)}),
+    _RANK,
+    _JSON,
+)
+
+#: subcommand -> (help, options, function), in the order --help lists them.
+#: The options are (flag, add_argument keywords) in the order they are
+#: added; a tuple of options is one required mutually exclusive group.
+#: "choices" and "default" are functions, called only for the command that
+#: runs, so that a command reads only the tables of the layers it runs.
 _COMMANDS = {
-    "normalize": (
-        "reduced form of a word (not a normal form)", _word_arguments, _cmd_normalize
-    ),
-    "image": ("evaluate a word in a concrete quotient", _hom_arguments, _cmd_image),
-    "kernel": ("test whether a word lies in a kernel", _hom_arguments, _cmd_kernel),
+    "normalize": ("reduced form of a word (not a normal form)", _WORDS, _cmd_normalize),
+    "image": ("evaluate a word in a concrete quotient", _HOM, _cmd_image),
+    "kernel": ("test whether a word lies in a kernel", _HOM, _cmd_kernel),
     "rewrite": (
-        "rewrite a kernel word over subgroup generators", _rewrite_arguments, _cmd_rewrite
+        "rewrite a kernel word over subgroup generators",
+        (("--into", {"required": True, "choices": lambda: sorted(rs.KERNEL_TABLE)}), *_WORDS),
+        _cmd_rewrite,
     ),
-    "present": ("print a stored presentation", _group_arguments, _cmd_present),
-    "abelianize": (
-        "print abelian invariants of a presentation", _group_arguments, _cmd_abelianize
+    "present": ("print a stored presentation", _GROUP, _cmd_present),
+    "abelianize": ("print abelian invariants of a presentation", _GROUP, _cmd_abelianize),
+    "verify": (
+        "run the verification suite",
+        (
+            (
+                ("--all", {"action": "store_true", "help": "run every check"}),
+                (
+                    "--check",
+                    {"action": "append", "choices": _check_ids, "help": "run one named check"},
+                ),
+            ),
+            (
+                "-n",
+                {
+                    "required": True,
+                    "type": _parse_n,
+                    "help": "number of strands, or an inclusive range like 2..4",
+                },
+            ),
+            ("--seed", {"type": _parse_seed, "default": _default_seed}),
+            _JSON,
+            ("--timings", {"action": "store_true", "help": "append wall times"}),
+        ),
+        _cmd_verify,
     ),
-    "verify": ("run the verification suite", _verify_arguments, _cmd_verify),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _groups(options):
+    """The options as groups: a lone option is a group of one."""
+    return [entry if isinstance(entry[0], tuple) else (entry,) for entry in options]
+
+
+def _scan(argv):
+    """The arguments of a well-formed call, read from _COMMANDS without
+    argparse: the subcommand, its options each once in the form "--flag
+    value" (--check may repeat), then words that do not start with "-".
+    None for any other call, which argparse then parses."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, options, fn = _COMMANDS[argv[0]]
+    groups = _groups(options)
+    table = {flag: keywords for group in groups for flag, keywords in group}
+    given = {}
+    i = 1
+    while i < len(argv) and argv[i].startswith("-"):
+        flag = argv[i]
+        if flag not in table:
+            return None
+        keywords = table[flag]
+        action = keywords.get("action")
+        if flag in given and action != "append":
+            return None
+        if action == "store_true":
+            given[flag] = True
+            i += 1
+            continue
+        if i + 1 == len(argv):
+            return None
+        try:
+            value = keywords["type"](argv[i + 1]) if "type" in keywords else argv[i + 1]
+        except ValueError:
+            return None
+        if "choices" in keywords and value not in keywords["choices"]():
+            return None
+        if action == "append":
+            given.setdefault(flag, []).append(value)
+        else:
+            given[flag] = value
+        i += 2
+    words = argv[i:]
+    if words and ("words" not in table or any(w.startswith("-") for w in words)):
+        return None
+    for group in groups:
+        named = sum(flag in given for flag, _ in group)
+        required = len(group) > 1 or group[0][1].get("required")
+        if named > 1 or required and not named:
+            return None
+    args = types.SimpleNamespace(command=argv[0], fn=fn)
+    for flag, keywords in table.items():
+        if flag == "words":
+            value = list(words)
+        elif flag in given:
+            value = given[flag]
+        elif keywords.get("action") == "store_true":
+            value = False
+        else:
+            value = keywords["default"]() if "default" in keywords else None
+        setattr(args, flag.lstrip("-"), value)
+    return args
+
+
+def build_parser():
+    """The argparse parser of the CLI, built from _COMMANDS.  Each
+    subcommand adds its arguments when argparse first dispatches to it, so
+    that building the parser reads no layer's table."""
+    import argparse
+
+    def typed(parse):
+        def convert(text):
+            try:
+                return parse(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+
+        return convert
+
+    def add(parser, flag, keywords):
+        keywords = dict(keywords)
+        for key in ("choices", "default"):
+            if key in keywords:
+                keywords[key] = keywords[key]()
+        if "type" in keywords:
+            keywords["type"] = typed(keywords["type"])
+        parser.add_argument(flag, **keywords)
+
+    class CommandParser(argparse.ArgumentParser):
+        def __init__(self, *args, options, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._options = options
+
+        def parse_known_args(self, args=None, namespace=None):
+            if self._options is not None:
+                for group in _groups(self._options):
+                    target = self
+                    if len(group) > 1:
+                        target = self.add_mutually_exclusive_group(required=True)
+                    for flag, keywords in group:
+                        add(target, flag, keywords)
+                self._options = None
+            return super().parse_known_args(args, namespace)
+
     parser = argparse.ArgumentParser(
         prog="tvbraid",
         description="words, quotients, and kernel presentations for twisted virtual braid groups",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
-    for name, (help_text, arguments, fn) in _COMMANDS.items():
-        sub.add_parser(name, help=help_text, arguments=arguments).set_defaults(fn=fn)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=CommandParser)
+    for name, (help_text, options, fn) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text, options=options).set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help; keep both.
-        return int(exc.code or 0)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _scan(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on usage errors and 0 on --help; keep both.
+            return int(exc.code or 0)
     try:
         code = args.fn(args)
         sys.stdout.flush()

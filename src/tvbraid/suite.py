@@ -335,15 +335,15 @@ CHECKS = {
 
 
 def run_suite(checks=None, n_range=None, seed: int = DEFAULT_SEED) -> list[CheckReport]:
-    """Run the named checks (all by default) over their supported ranks,
-    optionally intersected with n_range, in declaration order."""
+    """Run the named checks (all by default), each once and in declaration
+    order, over their supported ranks, optionally intersected with n_range."""
     if checks is None:
-        checks = list(CHECKS)
+        checks = CHECKS
     unknown = [c for c in checks if c not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
     out = []
-    for cid in checks:
+    for cid in [c for c in CHECKS if c in checks]:
         fn, default_ns = CHECKS[cid]
         ns = [n for n in default_ns if n_range is None or n in n_range]
         for n in ns:

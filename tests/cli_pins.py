@@ -5,7 +5,8 @@ stdin, and the exit code and stdout it must give: stdout whole, or its
 sha256 where the text is long.  ``tests/test_cli.py`` runs the rows of
 rank at most 8 through ``cli.main``.  Run as a script, this module runs
 every row through the installed ``tvbraid`` console script, and exits 1
-if any call's exit code or stdout differs from its row::
+if any call's exit code or stdout differs from its row, or if a call
+gives no answer within ``TIMEOUT_S`` seconds::
 
     python tests/cli_pins.py
 """
@@ -16,6 +17,9 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+#: how long one call may run; far above the slowest row, which takes seconds
+TIMEOUT_S = 300
 
 
 def rows():
@@ -42,9 +46,18 @@ def main():
     table = rows()
     failed = 0
     for row in table:
-        proc = subprocess.run(
-            ["tvbraid", *row["args"]], input=row["stdin"].encode(), capture_output=True
-        )
+        try:
+            proc = subprocess.run(
+                ["tvbraid", *row["args"]],
+                input=row["stdin"].encode(),
+                capture_output=True,
+                timeout=TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            failed += 1
+            print(f"FAIL tvbraid {shlex.join(row['args'])}")
+            print(f"  no answer within {TIMEOUT_S} s")
+            continue
         got, want = got_and_want(row, proc.returncode, proc.stdout.decode())
         if got != want:
             failed += 1

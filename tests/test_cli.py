@@ -16,7 +16,7 @@ from tvbraid.cli import main
 from tvbraid.homs import HOM_TABLE
 from tvbraid.present import FAMILIES
 from tvbraid.rs import KERNEL_TABLE
-from tvbraid.suite import CheckReport
+from tvbraid.suite import CHECKS, CheckReport
 
 from cli_pins import got_and_want, max_rank, rows
 
@@ -281,6 +281,22 @@ def test_verify_single_check(capsys):
     assert out.strip().endswith("1/1 checks passed")
 
 
+def test_verify_runs_each_named_check_once_in_suite_order(capsys):
+    """Repeated and out-of-order --check run each check once, in the
+    suite's order, and the "no check runs" error lists them the same way."""
+    checks = ("--check", "pl-to-vp", "--check", "relators-vanish", "--check", "pl-to-vp")
+    code, out, _ = run_cli(capsys, "verify", *checks, "-n", "3")
+    assert code == 0
+    names = [line.split()[0] for line in out.splitlines()]
+    assert names == ["relators-vanish", "pl-to-vp", "2/2"]
+    code, out, err = run_cli(capsys, "verify", *checks, "-n", "9")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: no check runs at n=9; "
+        "supported ranks: relators-vanish n=2,3,4,5; pl-to-vp n=3,4\n"
+    )
+
+
 def test_verify_json(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--check", "relators-vanish", "-n", "2", "--json"
@@ -322,6 +338,7 @@ def test_console_entry_point():
         [sys.executable, "-m", "tvbraid.cli", "normalize", "-n", "2", "g1 g1"],
         capture_output=True,
         text=True,
+        timeout=300,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == ""
@@ -334,7 +351,7 @@ _FOOTPRINT = """
 import sys
 from tvbraid.cli import main
 code = main(sys.argv[1:])
-watched = ("dataclasses", "inspect", "json")
+watched = ("argparse", "dataclasses", "gettext", "inspect", "json")
 print(" ".join(m for m in watched if m in sys.modules), file=sys.stderr)
 ran = [
     name for name, m in sys.modules.items()
@@ -353,6 +370,13 @@ _PRESENT_LAYERS = "_record cli conj present words"
         pytest.param(("normalize", "-n", "3", "s1"), "s1", "", "_record cli words", id="text"),
         pytest.param(
             ("normalize", "-n", "3", "--json", "s1"), '"s1"', "json", "_record cli words", id="json"
+        ),
+        pytest.param(
+            ("normalize", "--help"),
+            "usage: tvbraid normalize [-h] -n N [--json] [words ...]",
+            "argparse gettext",
+            "_record cli words",
+            id="help",
         ),
         pytest.param(
             ("image", "--hom", "phiP", "-n", "3", "s1"),
@@ -395,8 +419,9 @@ _PRESENT_LAYERS = "_record cli conj present words"
     ],
 )
 def test_cold_start_import_footprint(argv, line, loaded, layers):
-    """A CLI start loads neither dataclasses nor inspect, and json only for
-    --json output; each subcommand executes only the layers it runs."""
+    """A CLI start loads neither dataclasses nor inspect, json only for
+    --json output, and argparse (with gettext) only for --help and usage
+    errors; each subcommand executes only the layers it runs."""
     proc = subprocess.run(
         [sys.executable, "-c", _FOOTPRINT, *argv], capture_output=True, text=True, timeout=60
     )
@@ -682,3 +707,185 @@ def test_generated_present_input_exits_as_documented(command, family, rank, flag
     code, out = _run_in_process([command, "--group", family, "-n", rank, *flags])
     if code == 0:
         assert out.strip(), (command, family, rank, flags)
+
+
+def _argparse_exits(argv):
+    """Whether build_parser().parse_args(argv) exits: --help or a usage error."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit:
+            return True
+    return False
+
+
+def _scanned_as_argparse_parses(argv):
+    """Whether cli._scan takes argv.  When it does, argparse must take argv
+    too, into a namespace with the same attributes, fn and command included."""
+    scanned = cli._scan(argv)
+    if scanned is None:
+        return False
+    assert not _argparse_exits(argv), argv
+    assert vars(scanned) == vars(cli.build_parser().parse_args(argv)), argv
+    return True
+
+
+#: the names each option takes, and a junk name
+_CHOICES = {
+    "--hom": [*sorted(HOM_TABLE), "phi"],
+    "--into": [*sorted(KERNEL_TABLE), "tv"],
+    "--group": [*sorted(FAMILIES), "tvn"],
+    "--check": [*CHECKS, "relators"],
+}
+_good_rank = st.one_of(st.integers(1, 40).map(str), st.sampled_from(["007", "1" + "0" * 30]))
+_good_rank_or_range = st.one_of(
+    _good_rank, st.builds("{}..{}".format, st.integers(1, 4), st.integers(4, 9))
+)
+_good_seed = st.integers(-(10**20), 10**20).map(str)
+_scan_word = st.one_of(_grammar_token, _junk).filter(lambda w: not w.startswith("-"))
+
+
+def _spellings(flag, values):
+    """An option as a call may spell it: "flag value", abbreviated,
+    "flag=value", or with the value attached."""
+    return st.one_of(
+        st.tuples(st.just(flag), values).map(list),
+        values.map(lambda v: [flag[:4], v]),
+        values.map(lambda v: [f"{flag}={v}"]),
+        values.map(lambda v: [flag + v]),
+    )
+
+
+_piece = st.one_of(
+    _spellings("-n", st.one_of(_good_rank_or_range, _junk_rank, st.sampled_from(["-3", "4..2"]))),
+    _spellings("--seed", st.one_of(_good_seed, st.sampled_from(["", "x", "+5", "--5", "\u0665"]))),
+    *(_spellings(flag, st.sampled_from(names)) for flag, names in _CHOICES.items()),
+    st.sampled_from(
+        [["--json"], ["--all"], ["--timings"], ["--js"], ["--json=1"], ["--"], ["-h"], ["--help"]]
+    ),
+    st.one_of(_scan_word, st.sampled_from(["-s1", "-", "-3", "--x", ""])).map(lambda w: [w]),
+)
+
+
+#: the option that names a map, kernel or family, per subcommand
+_NAMED_BY = {
+    "image": "--hom",
+    "kernel": "--hom",
+    "rewrite": "--into",
+    "present": "--group",
+    "abelianize": "--group",
+}
+
+
+@st.composite
+def _well_formed_call(draw):
+    """A call in the form the scanner takes: the subcommand, its options in
+    any order, each once but --check, as "flag value", then the words."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    pieces = [["-n", draw(_good_rank_or_range if command == "verify" else _good_rank)]]
+    if draw(st.booleans()):
+        pieces.append(["--json"])
+    if command in _NAMED_BY:
+        flag = _NAMED_BY[command]
+        pieces.append([flag, draw(st.sampled_from(_CHOICES[flag][:-1]))])
+    if command == "verify":
+        checks = draw(st.lists(st.sampled_from(list(CHECKS)), max_size=3))
+        pieces += [["--check", c] for c in checks] or [["--all"]]
+        if draw(st.booleans()):
+            pieces.append(["--seed", draw(_good_seed)])
+        if draw(st.booleans()):
+            pieces.append(["--timings"])
+    words = []
+    if command in ("normalize", "image", "kernel", "rewrite"):
+        words = draw(st.lists(_scan_word, max_size=3))
+    pieces = draw(st.permutations(pieces))
+    return [command, *(arg for piece in pieces for arg in piece), *words]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_well_formed_call())
+def test_well_formed_calls_are_scanned(argv):
+    """A call in the documented form is read without argparse, into the
+    namespace argparse would give."""
+    assert _scanned_as_argparse_parses(argv), argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    _well_formed_call(),
+    st.lists(st.tuples(st.integers(0, 12), st.integers(0, 2), _piece), max_size=3),
+    st.sampled_from([None, "norm", "verif", "-h", "--help", "", *cli._COMMANDS]),
+)
+def test_scanned_calls_parse_as_argparse_parses_them(argv, edits, command):
+    """Every argv that the scanner takes, argparse takes into the same
+    namespace.  The calls are well-formed ones edited: arguments inserted,
+    replaced or dropped, another or a junk subcommand, and pieces such as
+    repeated or abbreviated options, "=" forms, attached values, "--", -h,
+    dash-leading words, and good, junk and range ranks."""
+    argv = list(argv)
+    for at, kind, piece in edits:
+        at = min(at, len(argv))
+        if kind == 0:
+            argv[at:at] = piece
+        elif kind == 1:
+            argv[at : at + 1] = piece
+        else:
+            del argv[at : at + 1]
+    if command is not None:
+        argv[:1] = [command] if command else []
+    _scanned_as_argparse_parses(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(argv.split(), id=argv)
+        for argv in [
+            "",
+            "--help",
+            "norm -n 3 s1",
+            "normalize -h",
+            "normalize -n 3 --help",
+            "normalize --js -n 3 s1",
+            "normalize -n=3 s1",
+            "normalize -n3 s1",
+            "normalize -n 3 -- s1",
+            "normalize -n 3 -n 3 s1",
+            "normalize -n 3 --json --json s1",
+            "normalize -n 3 s1 --json",
+            "normalize -n 3 -s1",
+            "normalize -n",
+            "normalize -n 0 s1",
+            "normalize s1",
+            "image -n 3 s1",
+            "image --hom=phiP -n 3 s1",
+            "image --hom phi -n 3 s1",
+            "present --group pln -n 3 s1",
+            "verify -n 3",
+            "verify --all --check pl-to-vp -n 3",
+            "verify --all --all -n 3",
+            "verify --check nope -n 3",
+            "verify --all -n 3 --seed x",
+            "verify --all -n 3 --seed -- -7",
+        ]
+    ],
+)
+def test_scanner_leaves_other_calls_to_argparse(argv):
+    """The scanner takes only the plain form: not --help, an unknown or
+    abbreviated name, "=" forms, attached values, "--", a repeated option
+    but --check, an option after a word, a dash-leading word, a value that
+    fails its type or choices, or a missing or conflicting option."""
+    assert cli._scan(argv) is None
+
+
+def test_frozen_calls_against_the_scanner():
+    """The scanner takes every pinned call on which argparse does not exit,
+    and agrees with argparse on it; it takes no --help call and no usage
+    error of the frozen goldens."""
+    for row in rows():
+        assert _scanned_as_argparse_parses(row["args"]) != _argparse_exits(row["args"]), row
+    for name in ("cli_help.txt", "cli_usage_errors.txt"):
+        for call in _golden_calls(name):
+            argv = call.values[0]
+            assert cli._scan(argv) is None, argv
+            assert _argparse_exits(argv), argv

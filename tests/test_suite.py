@@ -38,6 +38,13 @@ def test_unknown_check():
         run_suite(checks=["nope"])
 
 
+def test_named_checks_run_once_in_declaration_order():
+    reports = run_suite(checks=["pl-to-vp", "relators-vanish", "pl-to-vp"], n_range=[3])
+    assert [r.check_id for r in reports] == ["relators-vanish", "pl-to-vp"]
+    with pytest.raises(ValueError, match="^unknown checks: nope, nope$"):
+        run_suite(checks=["nope", "pl-to-vp", "nope"])
+
+
 def test_n_range_filter():
     reports = run_suite(checks=["relators-vanish"], n_range=[3, 4])
     assert [r.n for r in reports] == [3, 4]
