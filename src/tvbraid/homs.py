@@ -64,7 +64,6 @@ class Homomorphism:
         self.images = dict(images)
         self.identity = identity
         self._checked: bool | None = None
-        self._source_pres: Presentation | None = None
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -80,9 +79,7 @@ class Homomorphism:
         return self.target != "vpn"
 
     def source_presentation(self) -> Presentation:
-        if self._source_pres is None:
-            self._source_pres = build_presentation(self.source_family, self.n)
-        return self._source_pres
+        return build_presentation(self.source_family, self.n)
 
 
 def _perm_images(n, pair_kind):

@@ -365,9 +365,11 @@ def reduced_presentation(pres: Presentation) -> Presentation:
 # Faithful transcription of the externally printed relator table for the
 # bar-free kernel on decorated l generators.  Row C6 is reproduced as
 # printed even though it breaks the a b c = c b a mirror pattern of every
-# other row and places a decoration outside its atom's pair; comparisons
-# against mechanically derived relators are expected to flag exactly that
-# row rather than silently absorb it.
+# other row and prints a decoration index outside its atom's pair.  No atom
+# carries such an index, so the row writes it out as the bar conjugation a
+# decoration stands for, and its word holds bars; comparisons against
+# mechanically derived relators, which are bar-free, are expected to flag
+# exactly that row rather than silently absorb it.
 # ---------------------------------------------------------------------------
 
 _PL_TRIPLE_ROWS = [
@@ -398,7 +400,7 @@ _PL_TRIPLE_ROWS = [
 ]
 
 # Row C6 is printed with an unmirrored right side: the final atom repeats
-# the pair ik but carries decoration j.
+# the pair ik but carries decoration j, transcribed as g<j> l<i>,<k> g<j>.
 _PL_C6_RHS = (("jk", "ij", "ik"), ("jk", "j", "j"))
 
 _PL_COMM_DECOS = [
@@ -421,27 +423,32 @@ _PL_COMM_DECOS = [
 ]
 
 
-def _table_atom(pair_name, deco_name, env) -> Atom:
+def _table_atom(pair_name, deco_name, env) -> tuple:
+    """The atoms of one printed table entry, in ``_expanded``'s order: the
+    decoration's indices outside the pair as descending bars, the atom
+    decorated by its indices inside the pair, the outside bars ascending."""
     i, j = env[pair_name[0]], env[pair_name[1]]
-    deco = tuple(sorted(env[c] for c in deco_name))
-    return _atom("l", i, j, deco)
+    deco = sorted(env[c] for c in deco_name)
+    bars = tuple(gamma(k) for k in deco if k != i and k != j)
+    inside = tuple(k for k in deco if k == i or k == j)
+    return bars[::-1] + (_atom("l", i, j, inside),) + bars
 
 
 def transcribed_pl_table(n: int) -> list[tuple[str, Word]]:
     """Instantiate the printed relator table over all index choices.
 
     Triple rows run over sorted triples i < j < k; commutation rows over
-    disjoint sorted pairs.  Words are returned exactly as printed (relator
-    form lhs rhs^-1), without dedup, so callers can diff against a derived
-    registry and attribute any mismatch to a row id.
+    disjoint sorted pairs.  Words are returned as printed (relator form
+    lhs rhs^-1, C6's outside index as bars), without dedup, so callers can
+    diff against a derived registry and attribute any mismatch to a row id.
     """
     out = []
     for row_id, order, decos in _PL_TRIPLE_ROWS:
         for i, j, k in combinations(range(1, n + 1), 3):
             env = {"i": i, "j": j, "k": k}
-            lhs = [_table_atom(p, d, env) for p, d in zip(order, decos)]
+            lhs = [a for p, d in zip(order, decos) for a in _table_atom(p, d, env)]
             if row_id == "C6":
-                rhs = [_table_atom(p, d, env) for p, d in zip(*_PL_C6_RHS)]
+                rhs = [a for p, d in zip(*_PL_C6_RHS) for a in _table_atom(p, d, env)]
             else:
                 rhs = list(reversed(lhs))
             out.append((f"{row_id}({i},{j},{k})", _eq(n, lhs, rhs)))
@@ -455,7 +462,7 @@ def transcribed_pl_table(n: int) -> list[tuple[str, Word]]:
             out.append(
                 (
                     f"comm({i},{j};{k},{l})[{d1 or '0'},{d2 or '0'}]",
-                    _comm(n, [a], [b]),
+                    _comm(n, a, b),
                 )
             )
     return out

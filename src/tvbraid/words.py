@@ -24,12 +24,12 @@ keeps squares such as ``g1 g1`` intact.  ``reduce`` additionally cancels
 adjacent equal involution atoms.  Both give a reduced form, not a normal
 form: neither applies the swap identity of ``tvbraid.conj``.
 
-A word is its rank and its atoms.  Input is validated at the boundary:
-``parse_word`` and the public ``Atom`` and ``Word`` constructors check
-every index against the rank and every decoration against its pair.
-Atoms the library builds come from one table that validates each value
-the first time it is seen, and words derived from already checked words
-skip the checks.
+A word is its rank and its atoms.  Each check is made once, where a value
+is built.  An atom checks its own fields, a decoration against its pair
+among them, so no atom decorated outside its pair exists; atoms the
+library builds come from one table that builds each value once.  A word
+checks only that its atoms' strands fit its rank, and words derived from
+already checked words skip even that.
 """
 
 from __future__ import annotations
@@ -53,15 +53,16 @@ class Atom(FrozenRecord):
     """One generator occurrence.
 
     ``j`` is None except for the paired kinds l and x.  ``deco`` is a
-    strictly increasing tuple of bar-conjugator indices (paired kinds only).
-    Involution kinds fold their sign to +1.  Index-range checks against a
-    rank happen at Word construction, not here.  An atom hashes as the tuple
-    of its fields and never equals a tuple; that hash and its sort key, which
-    names the fields one to one, are computed once, when it is built.  Its
-    text is kept the first time ``format_atom`` builds it.  A pair atom
-    keeps, the first time ``tvbraid.conj`` conjugates it, its canonical
-    strands (i, j) and the four canonical atoms it becomes when bars toggle
-    nothing, i, j or both.
+    strictly increasing tuple of bar-conjugator indices, each one of the
+    pair's strands i and j (paired kinds only), and the constructor refuses
+    any other.  Involution kinds fold their sign to +1.  Index-range checks
+    against a rank happen at Word construction, not here.  An atom hashes
+    as the tuple of its fields and never equals a tuple; that hash and its
+    sort key, which names the fields one to one, are computed once, when it
+    is built.  Its text is kept the first time ``format_atom`` builds it.  A
+    pair atom keeps, the first time ``tvbraid.conj`` conjugates it, its
+    canonical strands (i, j) and the four canonical atoms it becomes when
+    bars toggle nothing, i, j or both.
     """
 
     _fields = ("kind", "i", "j", "deco", "sign")
@@ -102,6 +103,8 @@ class Atom(FrozenRecord):
             d < 1 for d in self.deco
         ):
             raise ValueError(f"decoration must be strictly increasing, got {self.deco}")
+        if any(d != self.i and d != self.j for d in self.deco):
+            raise ValueError(f"decoration {self.deco} not within pair ({self.i}, {self.j})")
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
         if self.kind in _INVOLUTION and self.sign == -1:
@@ -163,10 +166,7 @@ def gamma(i: int) -> Atom:
 
 
 def _pair_atom(kind: str, i: int, j: int, deco, sign: int) -> Atom:
-    deco = tuple(sorted(set(deco)))
-    if any(d not in (i, j) for d in deco):
-        raise ValueError(f"decoration {deco} not a subset of {{{i}, {j}}}")
-    return _atom(kind, i, j, deco, sign)
+    return _atom(kind, i, j, tuple(sorted(set(deco))), sign)
 
 
 def lam(i: int, j: int, deco=(), sign: int = 1) -> Atom:
@@ -182,8 +182,8 @@ def xgen(i: int, j: int, deco=(), sign: int = 1) -> Atom:
 class Word(FrozenRecord):
     """Immutable atom sequence: a word is its rank and its atoms.
 
-    The constructor checks the atoms against the rank, and that each
-    decoration lies inside its pair.
+    The constructor checks that the atoms' strands fit the rank; a
+    decoration lies inside its pair, so it fits too.
     """
 
     __slots__ = _fields = ("n", "atoms")
@@ -198,10 +198,6 @@ class Word(FrozenRecord):
                     raise ParseError(f"index {a.i} out of range for rank {n}")
             elif a.i > n or (a.j or 0) > n:
                 raise ParseError(f"strand index out of range for rank {n}")
-            if any(d > n for d in a.deco):
-                raise ParseError(f"decoration index out of range for rank {n}")
-            if a.kind in _PAIRED and any(d not in (a.i, a.j) for d in a.deco):
-                raise ParseError(f"decoration {a.deco} not within pair ({a.i}, {a.j})")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "atoms", atoms)
 
@@ -215,9 +211,8 @@ class Word(FrozenRecord):
         return w
 
     def __reduce__(self):
-        # no checks on the way back, so that a word built by the library
-        # outside the constructor's rules (a transcribed relator with a
-        # decoration outside its pair) survives too
+        # no rank check on the way back: the word was checked when it was
+        # built, and each atom comes back through the atom table's checks
         return Word._trusted, (self.n, self.atoms)
 
     def __len__(self) -> int:
@@ -274,8 +269,6 @@ def parse_word(text: str, n: int) -> Word:
             i = _index(m.group("i"), tok)
             j = _index(m.group("j"), tok) if m.group("j") else None
             deco = _parse_deco(m.group("deco"), tok) if m.group("deco") else ()
-            if deco and kind not in _PAIRED:
-                raise ParseError(f"kind {kind!r} cannot carry a decoration: {tok!r}")
             if len(set(deco)) != len(deco):
                 raise ParseError(f"decoration names an index twice: {tok!r}")
             atoms.append(Atom(kind, i, j, tuple(sorted(deco)), sign))

@@ -107,6 +107,27 @@ def test_parse_error_exit(capsys):
         assert (code, out, err) == (2, "", f"error: bad token {token!r}\n")
 
 
+@pytest.mark.parametrize("rank", ["3", "2"])
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        # the atom refuses these, whatever the rank, and its error names the token
+        ("l1,2:3", "bad token 'l1,2:3': decoration (3,) not within pair (1, 2)"),
+        ("x2,1:3^-1", "bad token 'x2,1:3^-1': decoration (3,) not within pair (2, 1)"),
+        ("g1:1", "bad token 'g1:1': kind 'g' cannot carry a decoration"),
+        ("s1:1", "bad token 's1:1': kind 's' cannot carry a decoration"),
+        ("s1,2:1", "bad token 's1,2:1': kind 's' takes one strand index"),
+        # rules of the decoration's text, checked by the parser
+        ("l1,2:11", "decoration names an index twice: 'l1,2:11'"),
+        ("g1:11", "decoration names an index twice: 'g1:11'"),
+        ("l1,2:,1", "bad decoration ',1'"),
+    ],
+)
+def test_bad_decoration_errors(capsys, rank, token, message):
+    code, out, err = run_cli(capsys, "normalize", "-n", rank, token)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_overlong_index_is_a_bad_token(capsys):
     # past the interpreter's limit on digits converted by int(): one short
     # line that cuts the token short and names the digit count

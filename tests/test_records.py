@@ -21,7 +21,8 @@ ATOMS = [
     sigma(2, -1),
     rho(1),
     gamma(3),
-    Atom("l", 1, 2, (3,)),
+    # built outside the atom table, so a round trip gives the table's atom
+    Atom("x", 2, 1, (1,), -1),
 ]
 
 ELEMENTS = [
@@ -38,8 +39,8 @@ ROUND_TRIPS = {
 
 
 def _c6_word() -> Word:
-    """The transcribed C6 row: its last atom is decorated outside its pair,
-    which the Word constructor would reject."""
+    """The transcribed C6 row: the index it prints outside its last atom's
+    pair is written as bar conjugation, so its word holds bars."""
     return dict(transcribed_pl_table(3))["C6(1,2,3)"]
 
 

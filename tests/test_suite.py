@@ -1,6 +1,11 @@
+from itertools import combinations
+
 import pytest
 
+from tvbraid.present import transcribed_pl_table
+from tvbraid.rs import derive_relators, make_context
 from tvbraid.suite import CHECKS, CheckReport, format_report, run_suite
+from tvbraid.words import canonical_key
 
 EXPECTED_CHECK_IDS = [
     "relators-vanish",
@@ -49,6 +54,20 @@ def test_n_range_filter():
     reports = run_suite(checks=["relators-vanish"], n_range=[3, 4])
     assert [r.n for r in reports] == [3, 4]
     assert run_suite(checks=["derived-pl-table"], n_range=[2]) == []
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_transcribed_table_misses_exactly_c6(n):
+    """The derived-pl-table verdict beyond its suite rank 3: of the printed
+    rows, exactly each C6(i,j,k) names no derived pl class, and as many
+    derived classes are missing from the table."""
+    derived = {canonical_key(d.word) for d in derive_relators(make_context("pl", n))}
+    table = {}
+    for rid, w in transcribed_pl_table(n):
+        table.setdefault(canonical_key(w), rid)
+    c6 = [f"C6({i},{j},{k})" for i, j, k in combinations(range(1, n + 1), 3)]
+    assert [rid for key, rid in table.items() if key not in derived] == c6
+    assert len(derived - table.keys()) == len(c6)
 
 
 def test_crash_becomes_failure(monkeypatch):

@@ -1,10 +1,14 @@
+import pickle
 import random
+import re
 from collections import deque
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tvbraid.conj import canonicalize_atom
 from tvbraid.present import FAMILIES, _decorated_generators, build_presentation
 from tvbraid.words import (
     _ATOMS,
@@ -83,10 +87,8 @@ def test_atom_validation():
         Atom("l", 2, 2)
     with pytest.raises(ValueError):
         lam(1, 2, (3,))
-    # an Atom still represents an out-of-pair decoration; words reject it
-    assert Atom("l", 1, 2, (3,)).deco == (3,)
-    with pytest.raises(ParseError):
-        Word(3, [Atom("l", 1, 2, (3,))])
+    with pytest.raises(ValueError):
+        Atom("l", 1, 2, (3,))
     with pytest.raises(ValueError):
         Atom("q", 1)
     with pytest.raises(ValueError):
@@ -106,6 +108,52 @@ def test_library_atoms_come_from_one_table():
     for _ in range(2):
         with pytest.raises(ValueError):
             lam(1, 1)
+
+
+class _TableCall:
+    """Pickles as a call of the atom table on the given fields, as an atom
+    pickles, whether or not the fields make an atom."""
+
+    def __init__(self, *fields):
+        self.fields = fields
+
+    def __reduce__(self):
+        return _atom, self.fields
+
+
+def test_no_atom_is_decorated_outside_its_pair():
+    before = dict(_ATOMS)
+    for kind, i, j, deco, sign in [
+        ("l", 1, 2, (3,), 1),
+        ("x", 2, 1, (3,), -1),
+        ("l", 1, 3, (1, 2), 1),
+        ("x", 3, 4, (1,), 1),
+    ]:
+        pair = (lam, xgen)[kind == "x"]
+        builds = [
+            lambda: Atom(kind, i, j, deco, sign),
+            lambda: _atom(kind, i, j, deco, sign),
+            lambda: pair(i, j, deco, sign),
+            lambda: pickle.loads(pickle.dumps(_TableCall(kind, i, j, deco, sign))),
+        ]
+        message = f"decoration {deco} not within pair ({i}, {j})"
+        for build in builds:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build()
+        token = f"{kind}{i},{j}:{''.join(map(str, deco))}" + "^-1" * (sign == -1)
+        for n in (3, 4, 5):
+            with pytest.raises(ParseError, match=re.escape(f"bad token {token!r}: {message}")):
+                parse_word(token, n)
+    assert _ATOMS.keys() == before.keys()
+    # with the decoration inside the pair, folding is all that is left
+    for n in range(2, 6):
+        for kind in ("l", "x"):
+            for i, j in permutations(range(1, n + 1), 2):
+                lo, hi = min(i, j), max(i, j)
+                for deco in ((), (lo,), (hi,), (lo, hi)):
+                    for sign in (1, -1):
+                        c = canonicalize_atom(_atom(kind, i, j, deco, sign))
+                        assert (c.i, c.j) == (lo, hi) and canonicalize_atom(c) is c
 
 
 def test_involutions_fold_signs():
